@@ -8,7 +8,8 @@ haircuts are compared against:
     call = S Phi(d1) - K e^{-rT} Phi(d2)
     put  = K e^{-rT} Phi(-d2) - S Phi(-d1)
 
-At vol = 0 both prices collapse to their deterministic discounted
+When vol sqrt(T) is 0 (vol = 0, or a vol so small that the product
+underflows) both prices collapse to their deterministic discounted
 intrinsic values.  No dividends, no American exercise.
 """
 
@@ -43,25 +44,26 @@ class BsInputs:
             raise ValidationError(f"tenor must be > 0 years, got {self.tenor!r}")
 
 
-def _d1_d2(b: BsInputs) -> tuple[float, float]:
-    srt = b.vol * math.sqrt(b.tenor)
+def _d1_d2(b: BsInputs, srt: float) -> tuple[float, float]:
     d1 = (math.log(b.spot / b.strike) + (b.rate + 0.5 * b.vol * b.vol) * b.tenor) / srt
     return d1, d1 - srt
 
 
 def bs_call(b: BsInputs) -> float:
-    """European call price; max(S - K e^{-rT}, 0) when vol = 0."""
+    """European call price; max(S - K e^{-rT}, 0) when vol * sqrt(T) = 0."""
     discounted_strike = b.strike * math.exp(-b.rate * b.tenor)
-    if b.vol == 0.0:
+    srt = b.vol * math.sqrt(b.tenor)
+    if srt == 0.0:
         return max(b.spot - discounted_strike, 0.0)
-    d1, d2 = _d1_d2(b)
+    d1, d2 = _d1_d2(b, srt)
     return max(b.spot * std_normal_cdf(d1) - discounted_strike * std_normal_cdf(d2), 0.0)
 
 
 def bs_put(b: BsInputs) -> float:
-    """European put price; max(K e^{-rT} - S, 0) when vol = 0."""
+    """European put price; max(K e^{-rT} - S, 0) when vol * sqrt(T) = 0."""
     discounted_strike = b.strike * math.exp(-b.rate * b.tenor)
-    if b.vol == 0.0:
+    srt = b.vol * math.sqrt(b.tenor)
+    if srt == 0.0:
         return max(discounted_strike - b.spot, 0.0)
-    d1, d2 = _d1_d2(b)
+    d1, d2 = _d1_d2(b, srt)
     return max(discounted_strike * std_normal_cdf(-d2) - b.spot * std_normal_cdf(-d1), 0.0)

@@ -53,7 +53,7 @@ from .general_repo import (
     lender_rate_from_bs,
     price_general_repo,
 )
-from .montecarlo import McEstimate, mc_sample_stats
+from .montecarlo import mc_sample_stats
 from .reference import DEFAULT_MC_N, DEFAULT_MC_SEED, build_reference_rows
 from .reports import FORMATS, build_report, rate_per_annum, rate_per_period, render
 from .scenarios import (
@@ -81,17 +81,6 @@ def _require_kind(scenario: Scenario, *kinds: str) -> None:
         )
 
 
-def _oracle_settings(scenario: Scenario, seed_override: int | None) -> tuple[int, int] | None:
-    """Resolve (n, seed) for the simulation cross-check, or None to skip it."""
-
-    if scenario.mc is not None:
-        seed = seed_override if seed_override is not None else scenario.mc.seed
-        return scenario.mc.n, seed
-    if seed_override is not None:
-        return DEFAULT_ORACLE_N, seed_override
-    return None
-
-
 def _z_score(delta: float, se: float) -> float:
     return delta / se if se > 0.0 else 0.0
 
@@ -100,11 +89,22 @@ def _oracle_section(
     mode: str,
     strike: float,
     scenario: Scenario,
+    seed_override: int | None,
     closed_mean: float,
-    closed_sd: float | None,
-    settings: tuple[int, int],
-) -> tuple[dict, McEstimate]:
-    n, seed = settings
+    closed_sd: float | None = None,
+) -> dict | None:
+    """Simulation cross-check section, or None when neither mc nor --seed asks for one.
+
+    A scenario's ``mc`` section sets n and seed, ``--seed`` overrides the
+    seed; ``--seed`` alone runs DEFAULT_ORACLE_N samples.
+    """
+    if scenario.mc is not None:
+        n = scenario.mc.n
+        seed = seed_override if seed_override is not None else scenario.mc.seed
+    elif seed_override is not None:
+        n, seed = DEFAULT_ORACLE_N, seed_override
+    else:
+        return None
     est = mc_sample_stats(strike, forward_gaussian(scenario.market), n, seed, mode)
     section: dict = {
         "mode": mode,
@@ -124,7 +124,7 @@ def _oracle_section(
         section["closed_form"]["sd"] = closed_sd
         section["delta_sd"] = closed_sd - est.sd
         section["z_sd"] = _z_score(closed_sd - est.sd, est.se_sd)
-    return section, est
+    return section
 
 
 def general_report(scenario: Scenario, seed_override: int | None = None) -> dict:
@@ -135,7 +135,7 @@ def general_report(scenario: Scenario, seed_override: int | None = None) -> dict
     quote = price_general_repo(market, strike)
     benchmark = bs_haircut(market, strike)
     residual = haircut_identity_residual(quote, market)
-    if abs(residual) > IDENTITY_TOLERANCE:
+    if not abs(residual) <= IDENTITY_TOLERANCE:
         raise ToleranceError(
             f"haircut identity residual {residual:.3e} exceeds {IDENTITY_TOLERANCE:.0e}"
         )
@@ -163,20 +163,15 @@ def general_report(scenario: Scenario, seed_override: int | None = None) -> dict
         },
         "identity_residual": residual,
     }
-    oracle = None
-    seed = None
-    settings = _oracle_settings(scenario, seed_override)
-    if settings is not None:
-        oracle, est = _oracle_section(
-            "min", strike, scenario, quote.revenue_mean, quote.revenue_sd_abs, settings
-        )
-        seed = est.seed
+    oracle = _oracle_section(
+        "min", strike, scenario, seed_override, quote.revenue_mean, quote.revenue_sd_abs
+    )
     return build_report(
         command="price-general",
         inputs=scenario.raw,
         outputs=outputs,
         oracle=oracle,
-        seed=seed,
+        seed=None if oracle is None else oracle["seed"],
     )
 
 
@@ -199,20 +194,13 @@ def special_lender_report(scenario: Scenario, seed_override: int | None = None) 
             "trader_return": rate_per_period(quote.trader_return, td),
         },
     }
-    oracle = None
-    seed = None
-    settings = _oracle_settings(scenario, seed_override)
-    if settings is not None:
-        oracle, est = _oracle_section(
-            "put-payoff", strike, scenario, quote.put_value_mean, None, settings
-        )
-        seed = est.seed
+    oracle = _oracle_section("put-payoff", strike, scenario, seed_override, quote.put_value_mean)
     return build_report(
         command="price-special",
         inputs=scenario.raw,
         outputs=outputs,
         oracle=oracle,
-        seed=seed,
+        seed=None if oracle is None else oracle["seed"],
     )
 
 

@@ -189,7 +189,7 @@ class CashflowReport:
         return self.ledger_cash - self.total
 
 
-def _conditions(s: DealerScenario, strict: bool) -> dict[str, float]:
+def _conditions(s: DealerScenario) -> dict[str, float]:
     carry = -s.fed_fee + s.general_lend * s.general_rate - s.client_loan * s.special_rate
     return {
         "fee_funding": s.client_loan - s.general_lend - s.fed_fee,
@@ -216,7 +216,7 @@ def check_liquidity(s: DealerScenario, strict: bool = True) -> list[LiquidityCon
     }
     return [LiquidityCondition(name=name, slack=slack,
                                satisfied=slack >= -tolerance, enforced=enforced[name])
-            for name, slack in _conditions(s, strict).items()]
+            for name, slack in _conditions(s).items()]
 
 
 def run_dealer_scenario(s: DealerScenario,
@@ -230,7 +230,7 @@ def run_dealer_scenario(s: DealerScenario,
     trading gain.
     """
     tolerance = RELATIVE_TOLERANCE * s.spot_value
-    conditions = _conditions(s, strict)
+    conditions = _conditions(s)
     state = LedgerState()
 
     opening = [
@@ -249,14 +249,14 @@ def run_dealer_scenario(s: DealerScenario,
     ]
     for step, label, deltas in opening:
         state.apply(step, label, **deltas)
-        if state.cash < -tolerance:
+        if not state.cash >= -tolerance:
             raise LiquidityError(
                 f"step {step} ({label}) would drive cash to {state.cash:.6g}",
                 step=step, condition="running_balance", slack=state.cash)
 
     closing_name = "closing_strict" if strict else "closing_weak"
     closing_slack = conditions[closing_name]
-    if closing_slack < -tolerance:
+    if not closing_slack >= -tolerance:
         raise LiquidityError(
             f"closing leg underfunded: {closing_name} slack {closing_slack:.6g}",
             step=7, condition=closing_name, slack=closing_slack)

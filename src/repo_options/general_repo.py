@@ -129,12 +129,11 @@ def price_general_repo(m: MarketParams, repurchase_price: float) -> GeneralRepoQ
     """
     if not (math.isfinite(repurchase_price) and repurchase_price > 0.0):
         raise ValidationError(f"repurchase_price must be > 0, got {repurchase_price!r}")
-    if m.volatility == 0.0:
+    g = forward_gaussian(m)
+    if g.sd == 0.0:
         raise ValidationError("volatility must be > 0: the censored-to-uncensored "
                               "variance ratio of the lender-rate model is undefined "
                               "for a deterministic forward price")
-
-    g = forward_gaussian(m)
     t = m.period_years
 
     revenue_mean = censored_min_mean(repurchase_price, g)
@@ -144,6 +143,9 @@ def price_general_repo(m: MarketParams, repurchase_price: float) -> GeneralRepoQ
     lender_rate_pa = m.risk_free_rate + (m.intrinsic_yield - m.risk_free_rate) * ratio * ratio
 
     lent_amount = revenue_mean / (1.0 + lender_rate_pa * t)
+    if not lent_amount > 0.0:
+        raise PricingError(f"lent amount {lent_amount:.6g} is not positive: the "
+                           "Gaussian forward model cannot price this loan")
     haircut = m.spot_price - lent_amount
     if haircut <= 0.0:
         raise PricingError(f"non-positive haircut {haircut:.6g}: repurchase price "

@@ -145,33 +145,17 @@ def build_reference_rows(
     ]
 
     if mc:
-        est1 = mc_sample_stats(strike1, forward, n, seed, "min")
-        est2 = mc_sample_stats(strike2, forward, n, seed + 1, "min")
-        est3 = mc_sample_stats(forward.mean, forward, n, seed + 2, "put-payoff")
-        rows.extend(
-            [
-                ReferenceRow(
-                    "case1_revenue_mean_mc_z",
-                    (case1.revenue_mean - est1.mean) / est1.se_mean,
-                    0.0,
-                    MC_Z_BOUND,
-                    "standard_errors",
-                ),
-                ReferenceRow(
-                    "case2_revenue_mean_mc_z",
-                    (case2.revenue_mean - est2.mean) / est2.se_mean,
-                    0.0,
-                    MC_Z_BOUND,
-                    "standard_errors",
-                ),
-                ReferenceRow(
-                    "special_put_value_mc_z",
-                    (special.put_value_mean - est3.mean) / est3.se_mean,
-                    0.0,
-                    MC_Z_BOUND,
-                    "standard_errors",
-                ),
-            ]
+        checks = (
+            ("case1_revenue_mean_mc_z", case1.revenue_mean, strike1, 0, "min"),
+            ("case2_revenue_mean_mc_z", case2.revenue_mean, strike2, 1, "min"),
+            ("special_put_value_mc_z", special.put_value_mean, forward.mean, 2, "put-payoff"),
         )
+        for name, closed, strike, offset, mode in checks:
+            est = mc_sample_stats(strike, forward, n, seed + offset, mode)
+            rows.append(
+                ReferenceRow(
+                    name, (closed - est.mean) / est.se_mean, 0.0, MC_Z_BOUND, "standard_errors"
+                )
+            )
 
     return rows

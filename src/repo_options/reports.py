@@ -82,12 +82,6 @@ def to_json(doc: Mapping[str, Any]) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
-def from_json(text: str) -> dict[str, Any]:
-    """Parse a report document back from its JSON form."""
-
-    return json.loads(text)
-
-
 def flatten(value: Any, prefix: str = "") -> list[tuple[str, Any]]:
     """Flatten nested dicts/lists into ``(dotted.path[index], scalar)`` rows."""
 

@@ -44,7 +44,7 @@ import jsonschema
 
 from .dealer import DealerScenario
 from .errors import ParseError, ValidationError
-from .general_repo import MarketParams, forward_gaussian, strike_from_sigma_multiple
+from .general_repo import MarketParams, strike_from_sigma_multiple
 from .special_repo import SpecialRepoRelations, build_special_relations, max_fed_fee
 
 SCENARIO_SCHEMA_VERSION = "1"
@@ -208,12 +208,6 @@ def annual_to_period(rate_pa: float, market: MarketParams) -> float:
     return rate_pa * market.period_years
 
 
-def period_to_annual(rate_pp: float, market: MarketParams) -> float:
-    """Convert a per-period simple rate to a per-annum figure."""
-
-    return rate_pp / market.period_years
-
-
 def relations_from_scenario(scenario: Scenario) -> SpecialRepoRelations:
     """Build the general/special rate-and-haircut relations for a scenario.
 
@@ -279,9 +273,3 @@ def dealer_from_scenario(scenario: Scenario) -> DealerScenario:
         general_haircut=float(terms["general_haircut"]),
         fed_fee=fee_value,
     )
-
-
-def forward_for_scenario(scenario: Scenario):
-    """Forward-value distribution implied by a scenario's market block."""
-
-    return forward_gaussian(scenario.market)

@@ -145,8 +145,8 @@ def max_fed_fee(spot_price: float, special_haircut: float, general_rate: float,
             / (1.0 + general_rate))
 
 
-def special_haircut(general_haircut: float, general_rate: float,
-                    special_rate: float) -> float:
+def haircut_from_rates(general_haircut: float, general_rate: float,
+                       special_rate: float) -> float:
     """Special haircut consistent with the balance identity.
 
     (general_haircut * (1 + general_rate) - (general_rate - special_rate))
@@ -160,8 +160,8 @@ def special_haircut(general_haircut: float, general_rate: float,
             / (1.0 + special_rate))
 
 
-def special_rate(general_haircut: float, special_haircut: float,
-                 general_rate: float) -> float:
+def rate_from_haircuts(general_haircut: float, special_haircut: float,
+                       general_rate: float) -> float:
     """Special rate consistent with the balance identity, per period.
 
     (general_rate - general_haircut * (1 + general_rate) + special_haircut)
@@ -173,11 +173,6 @@ def special_rate(general_haircut: float, special_haircut: float,
         raise ValidationError(f"special_haircut must be < 1, got {special_haircut!r}")
     return ((general_rate - general_haircut * (1.0 + general_rate) + special_haircut)
             / (1.0 - special_haircut))
-
-
-# the builder's keyword arguments shadow the two operation names above
-_haircut_from_rates = special_haircut
-_rate_from_haircuts = special_rate
 
 
 def build_special_relations(spot_price: float, general_haircut: float,
@@ -195,9 +190,9 @@ def build_special_relations(spot_price: float, general_haircut: float,
     if spot_price <= 0.0 or not math.isfinite(spot_price):
         raise ValidationError(f"spot_price must be > 0, got {spot_price!r}")
     if special_rate is None:
-        special_rate = _rate_from_haircuts(general_haircut, special_haircut, general_rate)
+        special_rate = rate_from_haircuts(general_haircut, special_haircut, general_rate)
     elif special_haircut is None:
-        special_haircut = _haircut_from_rates(general_haircut, general_rate, special_rate)
+        special_haircut = haircut_from_rates(general_haircut, general_rate, special_rate)
     rel = SpecialRepoRelations(
         general_rate=general_rate,
         special_rate=special_rate,

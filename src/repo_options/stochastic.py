@@ -1,12 +1,22 @@
 """Gaussian forward-price toolkit: censored and option-payoff moments.
 
 The forward price is modelled as X ~ Normal(mean, sd^2) in currency units.
-This module owns the closed forms for the moments the pricing engines need:
+Every closed form here is built on one kernel, the normal-model (Bachelier)
+call mean
 
-    E[min(K, X)]  = mu - [(mu - K) * Phi(d) + sd * phi(d)],  d = (mu - K) / sd
-    E[max(K, X)]  = K + mu - E[min(K, X)]
-    E[(K - X)^+]  = (K - mu) * Phi(d') + sd * phi(d'),       d' = (K - mu) / sd
-    Var[min(K,X)] via the lower partial moments of (c - Z)^+, c = (K - mu)/sd
+    f(a, s) = E[(a + s*Z)^+] = a * Phi(a/s) + s * phi(a/s),   Z ~ N(0, 1),
+
+held once in ``_call_excess``:
+
+    E[min(K, X)]  = mu - f(mu - K, sd)          (min(K, X) = X - (X - K)^+)
+    E[max(K, X)]  = K + f(mu - K, sd)           (max(K, X) = K + (X - K)^+)
+    E[(K - X)^+]  = f(K - mu, sd)
+    Var[min(K,X)] = sd^2 * Var[min(c, Z)], c = (K - mu)/sd, whose first
+                    partial moment E[(c - Z)^+] is f(c, 1)
+
+At sd = 0 each function returns its exact deterministic limit directly,
+never through the kernel: mu - max(mu - K, 0) is not min(K, mu) once
+mu - K rounds (mu = 1, K = 1e-20 gives 0.0).
 
 The normal model admits negative prices; no truncation is applied.  That is
 a deliberate model caveat, not an oversight.
@@ -53,31 +63,25 @@ def std_normal_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / SQRT_2)
 
 
-def censored_min_mean(strike: float, g: GaussianParams) -> float:
-    """E[min(strike, X)] for X ~ Normal(g.mean, g.sd^2).
+def _call_excess(a: float, s: float) -> float:
+    """Normal-model call mean f(a, s) = a * Phi(a/s) + s * phi(a/s), for s > 0."""
+    d = a / s
+    # the payoff mean is >= 0 by definition; guard the floating-point dust
+    return max(a * std_normal_cdf(d) + s * std_normal_pdf(d), 0.0)
 
-    Uses min(K, X) = X - (X - K)^+ with the call-payoff mean
-    E[(X-K)^+] = (mu - K) * Phi(d) + sd * phi(d),  d = (mu - K) / sd.
-    """
+
+def censored_min_mean(strike: float, g: GaussianParams) -> float:
+    """E[min(strike, X)] for X ~ Normal(g.mean, g.sd^2): mu - f(mu - K, sd)."""
     if g.sd == 0.0:
         return min(strike, g.mean)
-    d = (g.mean - strike) / g.sd
-    # payoff mean is >= 0 by definition; guard the floating-point dust
-    excess = max((g.mean - strike) * std_normal_cdf(d) + g.sd * std_normal_pdf(d), 0.0)
-    return g.mean - excess
+    return g.mean - _call_excess(g.mean - strike, g.sd)
 
 
 def censored_max_mean(strike: float, g: GaussianParams) -> float:
-    """E[max(strike, X)]; complementary to censored_min_mean.
-
-    max(K, X) = K + (X - K)^+, so the same call-payoff mean applies and
-    E[min] + E[max] = K + mu holds by construction.
-    """
+    """E[max(strike, X)]: K + f(mu - K, sd), so E[min] + E[max] = K + mu."""
     if g.sd == 0.0:
         return max(strike, g.mean)
-    d = (g.mean - strike) / g.sd
-    excess = max((g.mean - strike) * std_normal_cdf(d) + g.sd * std_normal_pdf(d), 0.0)
-    return strike + excess
+    return strike + _call_excess(g.mean - strike, g.sd)
 
 
 def censored_min_sd(strike: float, g: GaussianParams) -> float:
@@ -86,7 +90,7 @@ def censored_min_sd(strike: float, g: GaussianParams) -> float:
     Standardize with c = (strike - mean) / sd and write
     min(c, Z) = c - (c - Z)^+.  The partial moments
 
-        E[(c-Z)^+]     = c * Phi(c) + phi(c)
+        E[(c-Z)^+]     = c * Phi(c) + phi(c) = f(c, 1)
         E[((c-Z)^+)^2] = (1 + c^2) * Phi(c) + c * phi(c)
 
     give Var[min(c, Z)] as a difference of two small quantities, which
@@ -96,10 +100,8 @@ def censored_min_sd(strike: float, g: GaussianParams) -> float:
     if g.sd == 0.0:
         return 0.0
     c = (strike - g.mean) / g.sd
-    cdf_c = std_normal_cdf(c)
-    pdf_c = std_normal_pdf(c)
-    first = c * cdf_c + pdf_c
-    second = (1.0 + c * c) * cdf_c + c * pdf_c
+    first = _call_excess(c, 1.0)
+    second = (1.0 + c * c) * std_normal_cdf(c) + c * std_normal_pdf(c)
     var = second - first * first
     # censoring can only shrink variance: clamp to [0, 1] against rounding
     var = min(max(var, 0.0), 1.0)
@@ -107,11 +109,7 @@ def censored_min_sd(strike: float, g: GaussianParams) -> float:
 
 
 def put_payoff_mean(strike: float, g: GaussianParams) -> float:
-    """E[(strike - X)^+], the mean payoff of a put struck at `strike`.
-
-    Closed form: (K - mu) * Phi(d) + sd * phi(d) with d = (K - mu) / sd.
-    """
+    """E[(strike - X)^+], the mean payoff of a put struck at `strike`: f(K - mu, sd)."""
     if g.sd == 0.0:
         return max(strike - g.mean, 0.0)
-    d = (strike - g.mean) / g.sd
-    return max((strike - g.mean) * std_normal_cdf(d) + g.sd * std_normal_pdf(d), 0.0)
+    return _call_excess(strike - g.mean, g.sd)

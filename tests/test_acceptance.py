@@ -27,7 +27,7 @@ from repo_options import (
     strike_from_sigma_multiple,
 )
 from repo_options.dealer import DealerScenario, check_liquidity
-from repo_options.special_repo import special_haircut, special_rate
+from repo_options.special_repo import haircut_from_rates, rate_from_haircuts
 
 MARKET = MarketParams(
     spot_price=100_000.0,
@@ -174,10 +174,10 @@ def test_criterion_11_fee_forms_and_round_trips():
         f3 = g_cut - rel.special_haircut
         worst_form = max(worst_form, abs(f1 - f2), abs(f2 - f3), abs(f1 - f3))
 
-        rate_back = special_rate(g_cut, special_haircut(g_cut, g_rate, s_rate), g_rate)
+        rate_back = rate_from_haircuts(g_cut, haircut_from_rates(g_cut, g_rate, s_rate), g_rate)
         worst_round = max(worst_round, abs(rate_back - s_rate))
         s_cut0 = float(rng.uniform(0.0, max(g_cut, 1e-12)))
-        haircut_back = special_haircut(g_cut, g_rate, special_rate(g_cut, s_cut0, g_rate))
+        haircut_back = haircut_from_rates(g_cut, g_rate, rate_from_haircuts(g_cut, s_cut0, g_rate))
         worst_round = max(worst_round, abs(haircut_back - s_cut0))
     _criterion(11, "fee three-form agreement and round-trips, 1000 tuples", [
         ("worst_form_spread", worst_form, 0.0, 1e-12),
@@ -221,7 +221,7 @@ def test_criterion_13_dealer_ledger_decomposition():
         g_cut = float(rng.uniform(0.0, 0.08))
         g_rate = float(rng.uniform(-0.002, 0.01))
         s_rate = float(rng.uniform(-0.02, g_rate))
-        s_cut = special_haircut(g_cut, g_rate, s_rate)
+        s_cut = haircut_from_rates(g_cut, g_rate, s_rate)
         if s_cut < 0.0:
             continue
         s = DealerScenario(

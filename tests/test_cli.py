@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, formats, determinism, dispatch."""
 
 import json
+import math
 import os
 import pkgutil
 import subprocess
@@ -218,6 +219,51 @@ def test_schema_violation_is_exit_3(capsys, tmp_path):
     bad.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["price-general", str(bad)]) == 3
     assert "scenario rejected" in capsys.readouterr().err
+
+
+def _finite_leaves(value) -> bool:
+    if isinstance(value, dict):
+        return all(_finite_leaves(v) for v in value.values())
+    if isinstance(value, list):
+        return all(_finite_leaves(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+@pytest.mark.parametrize(
+    "command, base, market, terms, expected",
+    [
+        # forward sd underflows to 0.0: no lender-rate model
+        ("price-general", GENERAL, {"spot_price": 1.0, "volatility": 5e-324},
+         {"repurchase_price": 0.97}, 3),
+        # subnormal forward sd: the censored variance is NaN, so is the loan
+        ("price-general", GENERAL, {"volatility": 5e-324}, {"repurchase_price": 97000.0}, 4),
+        # most of the Gaussian mass below zero: negative loan
+        ("price-general", GENERAL, {"volatility": 5.0, "tenor_days": 365},
+         {"repurchase_price": 1.0}, 4),
+        ("price-general", GENERAL, {"volatility": 1e-300}, {"repurchase_price": 99000.0}, 4),
+        # vol * sqrt(tenor) underflows: deterministic Black-Scholes branch
+        ("price-special", SPECIAL, {"volatility": 5e-324}, {}, 0),
+        # NaN carry from overflowing per-period rates fails the closing gate
+        ("dealer-sim", DEALER_GAIN, {}, {"special_rate": 1e308, "general_rate": 1e308}, 5),
+    ],
+)
+def test_degenerate_inputs_fail_typed_or_stay_finite(
+    capsys, tmp_path, command, base, market, terms, expected
+):
+    doc = json.loads(Path(base).read_text("utf-8"))
+    doc["market"].update(market)
+    doc["terms"].update(terms)
+    if "repurchase_price" in terms:
+        doc["terms"].pop("sigma_multiple")
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main([command, str(path), "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == expected, captured.err
+    if expected == 0:
+        assert _finite_leaves(json.loads(captured.out))
+    else:
+        assert captured.err.startswith("error:")
 
 
 def test_argparse_errors_are_exit_2(capsys):

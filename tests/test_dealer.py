@@ -12,7 +12,7 @@ from repo_options import (
     replay_step_log,
     run_dealer_scenario,
 )
-from repo_options.special_repo import special_haircut
+from repo_options.special_repo import haircut_from_rates
 
 
 def _scenario(**overrides) -> DealerScenario:
@@ -32,7 +32,7 @@ def _scenario(**overrides) -> DealerScenario:
 
 def _max_fee_scenario(g_cut=0.02, g_rate=2e-4, s_rate=1e-4, spot=1000.0, count=100):
     # special haircut on the consistency surface, fee at its maximum
-    s_cut = special_haircut(g_cut, g_rate, s_rate)
+    s_cut = haircut_from_rates(g_cut, g_rate, s_rate)
     fee = max_fed_fee(spot * count, s_cut, g_rate, s_rate)
     return _scenario(
         note_spot=spot,

@@ -15,12 +15,9 @@ from repo_options import (
     parse_scenario,
     strike_from_sigma_multiple,
 )
-from repo_options.general_repo import forward_gaussian
 from repo_options.scenarios import (
     annual_to_period,
     dealer_from_scenario,
-    forward_for_scenario,
-    period_to_annual,
     relations_from_scenario,
     report_schema,
     resolve_strike,
@@ -225,10 +222,6 @@ def test_resolve_strike_both_forms():
 def test_rate_period_conversions_round_trip():
     market = parse_scenario(_relations_doc()).market  # 30/360
     assert annual_to_period(0.03, market) == pytest.approx(0.0025, rel=1e-15)
-    assert period_to_annual(0.0025, market) == pytest.approx(0.03, rel=1e-15)
-    assert period_to_annual(annual_to_period(0.0123, market), market) == pytest.approx(
-        0.0123, rel=1e-12
-    )
 
 
 def test_relations_from_scenario_converts_rates_to_period():
@@ -296,11 +289,6 @@ def test_dealer_spot_consistency_enforced():
 def test_dealer_from_scenario_rejects_other_kinds():
     with pytest.raises(ValidationError, match="dealer"):
         dealer_from_scenario(parse_scenario(_general_doc()))
-
-
-def test_forward_for_scenario_matches_market_forward():
-    scenario = parse_scenario(_general_doc())
-    assert forward_for_scenario(scenario) == forward_gaussian(scenario.market)
 
 
 def test_packaged_schemas_are_well_formed():

@@ -16,7 +16,7 @@ from repo_options import (
     max_fed_fee,
     price_lender_fail,
 )
-from repo_options.special_repo import special_haircut, special_rate
+from repo_options.special_repo import haircut_from_rates, rate_from_haircuts
 
 MARKET = MarketParams(
     spot_price=100000.0,
@@ -114,9 +114,9 @@ def test_haircut_rate_round_trips_randomized():
         g_cut = float(rng.uniform(0.0, 0.1))
         g_rate = float(rng.uniform(-0.005, 0.02))
         s_rate = float(rng.uniform(-0.05, 0.02))
-        s_cut = special_haircut(g_cut, g_rate, s_rate)
-        assert special_rate(g_cut, s_cut, g_rate) == pytest.approx(s_rate, abs=1e-12)
-        s_cut2 = special_haircut(g_cut, g_rate, special_rate(g_cut, s_cut, g_rate))
+        s_cut = haircut_from_rates(g_cut, g_rate, s_rate)
+        assert rate_from_haircuts(g_cut, s_cut, g_rate) == pytest.approx(s_rate, abs=1e-12)
+        s_cut2 = haircut_from_rates(g_cut, g_rate, rate_from_haircuts(g_cut, s_cut, g_rate))
         assert s_cut2 == pytest.approx(s_cut, abs=1e-12)
 
 
@@ -142,7 +142,7 @@ def test_max_fee_equals_fee_rate_times_spot_under_consistency():
 def test_regime_limit_guaranteed_delivery():
     # special_haircut = 0 forces special_rate = general_rate - g_cut (1 + general_rate)
     for g_cut, g_rate in [(0.0, 0.01), (0.02, 0.0025), (0.05, -0.001), (0.1, 0.02)]:
-        s_rate = special_rate(g_cut, 0.0, g_rate)
+        s_rate = rate_from_haircuts(g_cut, 0.0, g_rate)
         assert abs(s_rate - (g_rate - g_cut * (1.0 + g_rate))) <= 1e-12
 
 
@@ -151,7 +151,7 @@ def test_regime_limit_stressed():
     for g_cut, g_rate in [(0.0, 0.01), (0.02, 0.0025), (0.05, 0.015)]:
         fee = fed_fee_rate(g_rate, 0.0, g_cut)
         assert abs(fee - g_rate * (1.0 - g_cut)) <= 1e-12
-        s_cut = special_haircut(g_cut, g_rate, 0.0)
+        s_cut = haircut_from_rates(g_cut, g_rate, 0.0)
         assert abs((g_cut - s_cut) - fee) <= 1e-12
 
 
@@ -159,7 +159,7 @@ def test_regime_limit_no_demand():
     # fee = 0 forces special_rate = general_rate and equal haircuts
     for g_cut, g_rate in [(0.0, 0.01), (0.02, 0.0025), (0.05, 0.015)]:
         assert abs(fed_fee_rate(g_rate, g_rate, g_cut)) <= 1e-12
-        assert abs(special_haircut(g_cut, g_rate, g_rate) - g_cut) <= 1e-12
+        assert abs(haircut_from_rates(g_cut, g_rate, g_rate) - g_cut) <= 1e-12
 
 
 def test_classify_regimes():
@@ -212,7 +212,7 @@ def test_inconsistent_relations_rejected():
 
 
 def test_build_relations_consistent_both_inputs():
-    s_cut = special_haircut(0.02, 0.0025, 0.001)
+    s_cut = haircut_from_rates(0.02, 0.0025, 0.001)
     rel = build_special_relations(
         1e5, 0.02, 0.0025, special_haircut=s_cut, special_rate=0.001
     )
@@ -236,6 +236,6 @@ def test_validation_rejects_out_of_domain():
     with pytest.raises(ValidationError):
         max_fed_fee(1e5, 0.02, -1.0, 0.0)
     with pytest.raises(ValidationError):
-        special_rate(0.02, 1.0, 0.01)
+        rate_from_haircuts(0.02, 1.0, 0.01)
     with pytest.raises(ValidationError):
-        special_haircut(0.02, math.nan, 0.001)
+        haircut_from_rates(0.02, math.nan, 0.001)

@@ -190,6 +190,12 @@ def test_zero_sd_branches_exact():
     assert censored_min_sd(50.0, g) == 0.0
     assert put_payoff_mean(50.0, g) == 8.0
     assert put_payoff_mean(40.0, g) == 0.0
+    # mu - K rounds here, so the limits must not go through mu -/+ (mu - K)^+
+    assert censored_min_mean(1e-20, GaussianParams(mean=1.0, sd=0.0)) == 1e-20
+    assert (
+        censored_max_mean(-7.81278887097989, GaussianParams(mean=0.04965643738891307, sd=0.0))
+        == 0.04965643738891307
+    )
 
 
 @pytest.mark.parametrize("strike_scale", [0.7, 1.0, 1.3])
