@@ -131,9 +131,12 @@ def price_general_repo(m: MarketParams, repurchase_price: float) -> GeneralRepoQ
         raise ValidationError(f"repurchase_price must be > 0, got {repurchase_price!r}")
     g = forward_gaussian(m)
     if g.sd == 0.0:
-        raise ValidationError("volatility must be > 0: the censored-to-uncensored "
-                              "variance ratio of the lender-rate model is undefined "
-                              "for a deterministic forward price")
+        cause = ("volatility must be > 0" if m.volatility == 0.0 else
+                 f"the forward standard deviation spot * volatility * sqrt(tenor) "
+                 f"underflows to 0 (volatility {m.volatility!r})")
+        raise ValidationError(f"{cause}: the censored-to-uncensored variance ratio of "
+                              "the lender-rate model is undefined for a deterministic "
+                              "forward price")
     t = m.period_years
 
     revenue_mean = censored_min_mean(repurchase_price, g)

@@ -14,17 +14,22 @@ scheduled, an estimate for a given (seed, n, mode) is bit-identical no
 matter how many workers evaluate the chunks.  This determinism is a
 contract: do not change CHUNK_SIZE or the seeding scheme without bumping
 the protocol note above.
+
+numpy is imported by the functions that sample, not at module level, so
+commands that never run the oracle do not pay for loading it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ValidationError
 from .stochastic import GaussianParams
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CHUNK_SIZE = 1_000_000
 
@@ -44,6 +49,8 @@ class McEstimate:
 
 
 def _payoff(mode: str, strike: float, x: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     if mode == "min":
         return np.minimum(strike, x)
     if mode == "max":
@@ -94,6 +101,8 @@ def mc_sample_stats(strike: float, g: GaussianParams, n: int, seed: int,
         raise ValidationError(f"unknown mode {mode!r}; expected one of {MODES}")
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+
+    import numpy as np
 
     total = None
     produced = 0

@@ -14,7 +14,10 @@ Rendering rules:
 * CSV is a flat two-column ``field,value`` listing with dotted/indexed
   paths, sorted by path;
 * the table format is for human eyes only: same rows as CSV, numbers
-  shortened to 10 significant digits.
+  shortened to 10 significant digits;
+* every format refuses a non-finite number (``inf``, ``nan``) with a
+  :class:`PricingError` naming its path, so a report never carries a
+  value that strict JSON parsers reject or that the model cannot give.
 
 Every interest rate in a report is an object ``{value, basis, ...}`` —
 per-annum rates carry their ``day_count``, per-period rates their
@@ -27,10 +30,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from typing import Any, Mapping
 
 from . import __version__
-from .errors import ValidationError
+from .errors import PricingError, ValidationError
 
 REPORT_SCHEMA_VERSION = "1"
 
@@ -76,10 +80,21 @@ def build_report(
     return doc
 
 
+def _non_finite(path: str, value: float) -> PricingError:
+    return PricingError(f"report value {path} is {value!r}, not a finite number")
+
+
 def to_json(doc: Mapping[str, Any]) -> str:
     """Serialise a report deterministically (sorted keys, trailing newline)."""
 
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False, allow_nan=False)
+    except ValueError:
+        for path, value in _rows(doc):
+            if isinstance(value, float) and not math.isfinite(value):
+                raise _non_finite(path, value) from None
+        raise
+    return text + "\n"
 
 
 def flatten(value: Any, prefix: str = "") -> list[tuple[str, Any]]:
@@ -99,44 +114,51 @@ def flatten(value: Any, prefix: str = "") -> list[tuple[str, Any]]:
     return [(prefix, value)]
 
 
-def _scalar_full_precision(value: Any) -> str:
+def _rows(doc: Mapping[str, Any]) -> list[tuple[str, Any]]:
+    return sorted(flatten(doc), key=lambda item: item[0])
+
+
+def _scalar_full_precision(path: str, value: Any) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if value is None:
         return ""
     if isinstance(value, float):
-        return repr(value)
+        if math.isfinite(value):
+            return repr(value)
+        raise _non_finite(path, value)
     return str(value)
 
 
 def to_csv(doc: Mapping[str, Any]) -> str:
     """Render a report as sorted ``field,value`` rows at full precision."""
 
-    rows = sorted(flatten(doc), key=lambda item: item[0])
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["field", "value"])
-    for path, value in rows:
-        writer.writerow([path, _scalar_full_precision(value)])
+    for path, value in _rows(doc):
+        writer.writerow([path, _scalar_full_precision(path, value)])
     return buffer.getvalue()
 
 
-def _scalar_table(value: Any) -> str:
+def _scalar_table(path: str, value: Any) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if value is None:
         return "-"
     if isinstance(value, float):
-        return f"{value:.10g}"
+        if math.isfinite(value):
+            return f"{value:.10g}"
+        raise _non_finite(path, value)
     return str(value)
 
 
 def to_table(doc: Mapping[str, Any]) -> str:
     """Render a report as an aligned two-column table (human-readable)."""
 
-    rows = sorted(flatten(doc), key=lambda item: item[0])
+    rows = _rows(doc)
     width = max((len(path) for path, _ in rows), default=0)
-    lines = [f"{path.ljust(width)}  {_scalar_table(value)}" for path, value in rows]
+    lines = [f"{path.ljust(width)}  {_scalar_table(path, value)}" for path, value in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -30,17 +30,19 @@ Conventions enforced here:
 * an ``mc`` section (sampling size and seed for the simulation
   cross-check) is only meaningful for ``general`` and ``special_lender``
   scenarios and is rejected elsewhere.
+
+jsonschema is imported on the first validation, not at module level, so
+commands that never read a scenario file do not pay for loading it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from pathlib import Path
 from typing import Any, Mapping
-
-import jsonschema
 
 from .dealer import DealerScenario
 from .errors import ParseError, ValidationError
@@ -77,6 +79,15 @@ def report_schema() -> Mapping[str, Any]:
     return _load_packaged_schema("report.schema.json")
 
 
+@cache
+def _validator():
+    """The scenario-schema validator, built once on first use."""
+
+    import jsonschema
+
+    return jsonschema.Draft202012Validator(scenario_schema())
+
+
 @dataclass(frozen=True)
 class McSettings:
     """Simulation cross-check settings from a scenario's ``mc`` section."""
@@ -109,8 +120,9 @@ def validate_scenario_data(data: Any) -> None:
     first (most relevant) schema violation.
     """
 
-    validator = jsonschema.Draft202012Validator(scenario_schema())
-    errors = sorted(validator.iter_errors(data), key=jsonschema.exceptions.relevance)
+    import jsonschema
+
+    errors = sorted(_validator().iter_errors(data), key=jsonschema.exceptions.relevance)
     if errors:
         best = jsonschema.exceptions.best_match(errors)
         raise ValidationError(

@@ -76,7 +76,7 @@ class SpecialRepoRelations:
 
     def validate(self, tolerance: float = REGIME_TOLERANCE) -> None:
         residual = self.balance_residual()
-        if abs(residual) > tolerance:
+        if not abs(residual) <= tolerance:
             raise ValidationError(f"inconsistent special-repo relations: balance "
                                   f"residual {residual:.3e} exceeds {tolerance:.0e}")
 

@@ -96,12 +96,23 @@ def censored_min_sd(strike: float, g: GaussianParams) -> float:
     give Var[min(c, Z)] as a difference of two small quantities, which
     stays accurate precisely in the heavily censored regime the repo
     pipeline lives in (strike several sigmas below the mean).
+
+    Both tails return their exact limits instead: past c = 38 the strike
+    censors nothing a double can resolve (Phi(-38) ~ 3e-316), so the sd
+    is g.sd, not the 0 the cancelling difference gives; and once Phi(c)
+    underflows to 0 almost every draw is the strike, so the sd is 0
+    (c*c overflows there, and inf * 0 would be NaN).
     """
     if g.sd == 0.0:
         return 0.0
     c = (strike - g.mean) / g.sd
+    if c > 38.0:
+        return g.sd
+    cdf = std_normal_cdf(c)
+    if cdf == 0.0:
+        return 0.0
     first = _call_excess(c, 1.0)
-    second = (1.0 + c * c) * std_normal_cdf(c) + c * std_normal_pdf(c)
+    second = (1.0 + c * c) * cdf + c * std_normal_pdf(c)
     var = second - first * first
     # censoring can only shrink variance: clamp to [0, 1] against rounding
     var = min(max(var, 0.0), 1.0)

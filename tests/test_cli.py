@@ -221,6 +221,32 @@ def test_schema_violation_is_exit_3(capsys, tmp_path):
     assert "scenario rejected" in capsys.readouterr().err
 
 
+def test_mc_sample_budget_is_exit_3(capsys, tmp_path, monkeypatch):
+    def never(*args):
+        raise AssertionError("sampled despite an over-budget mc.n")
+
+    monkeypatch.setattr("repo_options.cli.mc_sample_stats", never)
+    doc = json.loads(Path(GENERAL_MC).read_text("utf-8"))
+    doc["mc"]["n"] = 10**13
+    path = tmp_path / "huge_mc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["price-general", str(path), "--format", "json"]) == 3
+    assert "scenario rejected at /mc/n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_non_finite_report_value_is_exit_4(capsys, tmp_path, fmt):
+    # a per-annum general rate of 1e308 makes the largest fed fee overflow
+    doc = json.loads(Path(RELATIONS).read_text("utf-8"))
+    doc["terms"]["general_rate"] = 1e308
+    path = tmp_path / "overflowing_fee.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["price-special", str(path), "--format", fmt]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: report value outputs.relations.max_fee is inf")
+
+
 def _finite_leaves(value) -> bool:
     if isinstance(value, dict):
         return all(_finite_leaves(v) for v in value.values())
@@ -230,25 +256,29 @@ def _finite_leaves(value) -> bool:
 
 
 @pytest.mark.parametrize(
-    "command, base, market, terms, expected",
+    "command, base, market, terms, expected, err",
     [
         # forward sd underflows to 0.0: no lender-rate model
         ("price-general", GENERAL, {"spot_price": 1.0, "volatility": 5e-324},
-         {"repurchase_price": 0.97}, 3),
-        # subnormal forward sd: the censored variance is NaN, so is the loan
-        ("price-general", GENERAL, {"volatility": 5e-324}, {"repurchase_price": 97000.0}, 4),
+         {"repurchase_price": 0.97}, 3, "forward standard deviation"),
+        # subnormal forward sd, |c| past 1e154: the strike censors every draw,
+        # so the quote is the deterministic one (loan = K, repo rate = risk-free)
+        ("price-general", GENERAL, {"volatility": 5e-324}, {"repurchase_price": 97000.0}, 0,
+         None),
         # most of the Gaussian mass below zero: negative loan
         ("price-general", GENERAL, {"volatility": 5.0, "tenor_days": 365},
-         {"repurchase_price": 1.0}, 4),
-        ("price-general", GENERAL, {"volatility": 1e-300}, {"repurchase_price": 99000.0}, 4),
+         {"repurchase_price": 1.0}, 4, "lent amount"),
+        ("price-general", GENERAL, {"volatility": 1e-300}, {"repurchase_price": 99000.0}, 0,
+         None),
         # vol * sqrt(tenor) underflows: deterministic Black-Scholes branch
-        ("price-special", SPECIAL, {"volatility": 5e-324}, {}, 0),
+        ("price-special", SPECIAL, {"volatility": 5e-324}, {}, 0, None),
         # NaN carry from overflowing per-period rates fails the closing gate
-        ("dealer-sim", DEALER_GAIN, {}, {"special_rate": 1e308, "general_rate": 1e308}, 5),
+        ("dealer-sim", DEALER_GAIN, {}, {"special_rate": 1e308, "general_rate": 1e308}, 5,
+         None),
     ],
 )
 def test_degenerate_inputs_fail_typed_or_stay_finite(
-    capsys, tmp_path, command, base, market, terms, expected
+    capsys, tmp_path, command, base, market, terms, expected, err
 ):
     doc = json.loads(Path(base).read_text("utf-8"))
     doc["market"].update(market)
@@ -264,6 +294,7 @@ def test_degenerate_inputs_fail_typed_or_stay_finite(
         assert _finite_leaves(json.loads(captured.out))
     else:
         assert captured.err.startswith("error:")
+        assert err is None or err in captured.err
 
 
 def test_argparse_errors_are_exit_2(capsys):
@@ -320,3 +351,44 @@ def test_console_script_installed(tmp_path):
     assert result.returncode == 0, result.stderr
     doc = json.loads(result.stdout)
     assert doc["provenance"]["tool"] == "repo-options"
+
+
+# Runs in a fresh interpreter because pytest has already imported numpy.
+_HEAVY_IMPORT_PROBE = """
+import contextlib, io, json, sys
+from repo_options.cli import main
+
+def loaded(*argv):
+    if argv:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(list(argv))
+        if code != 0:
+            sys.exit(f"{argv} exited {code}")
+    return sorted(m for m in ("numpy", "jsonschema") if m in sys.modules)
+
+general, general_mc = sys.argv[1:]
+print(json.dumps([
+    loaded(),
+    loaded("reproduce-examples"),
+    loaded("price-general", general, "--format", "json"),
+    loaded("price-general", general_mc, "--format", "json"),
+]))
+"""
+
+
+def test_heavy_imports_load_only_when_used():
+    """numpy loads only for an oracle run, jsonschema only to validate a scenario."""
+    package_root = str(Path(repo_options.__file__).resolve().parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-c", _HEAVY_IMPORT_PROBE, GENERAL, GENERAL_MC],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": package_root},
+    )
+    assert result.returncode == 0, result.stderr
+    after_import, after_reproduce, after_price, after_oracle = json.loads(result.stdout)
+    assert after_import == []
+    assert after_reproduce == []
+    assert after_price == ["jsonschema"]
+    assert after_oracle == ["jsonschema", "numpy"]

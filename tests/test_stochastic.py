@@ -178,6 +178,14 @@ def test_censored_min_sd_vanishes_when_fully_censored():
     assert censored_min_sd(g.mean - 8.0 * g.sd, g) < 1e-6 * g.sd
 
 
+@pytest.mark.parametrize("c, expected", [(1e8, 1.0), (1e160, 1.0), (-1e160, 0.0)])
+def test_censored_min_sd_exact_tail_limits(c, expected):
+    # far right: nothing is censored, so the sd is the forward sd (the
+    # cancelling variance difference gives 0); far left: everything is,
+    # and c*c overflows (the difference gives NaN)
+    assert censored_min_sd(c, GaussianParams(mean=0.0, sd=1.0)) == expected
+
+
 # --- degenerate and zero-volatility behavior ---
 
 
