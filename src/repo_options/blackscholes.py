@@ -10,7 +10,9 @@ haircuts are compared against:
 
 When vol sqrt(T) is 0 (vol = 0, or a vol so small that the product
 underflows) both prices collapse to their deterministic discounted
-intrinsic values.  No dividends, no American exercise.
+intrinsic values.  So do they when K e^{-rT} overflows (a rate below
+about -709 / T): the call is then worth 0 and the put is unbounded.  No
+dividends, no American exercise.
 """
 
 from __future__ import annotations
@@ -44,26 +46,38 @@ class BsInputs:
             raise ValidationError(f"tenor must be > 0 years, got {self.tenor!r}")
 
 
+def _discounted_strike(b: BsInputs) -> float:
+    """K e^{-rT}; inf once e^{-rT} overflows (a rate below about -709 / T)."""
+    try:
+        return b.strike * math.exp(-b.rate * b.tenor)
+    except OverflowError:
+        return math.inf
+
+
 def _d1_d2(b: BsInputs, srt: float) -> tuple[float, float]:
-    d1 = (math.log(b.spot / b.strike) + (b.rate + 0.5 * b.vol * b.vol) * b.tenor) / srt
+    ratio = b.spot / b.strike
+    # ln(S/K) as the difference of logs only where S/K under- or overflows
+    log_moneyness = (math.log(ratio) if 0.0 < ratio < math.inf
+                     else math.log(b.spot) - math.log(b.strike))
+    d1 = (log_moneyness + (b.rate + 0.5 * b.vol * b.vol) * b.tenor) / srt
     return d1, d1 - srt
 
 
 def bs_call(b: BsInputs) -> float:
-    """European call price; max(S - K e^{-rT}, 0) when vol * sqrt(T) = 0."""
-    discounted_strike = b.strike * math.exp(-b.rate * b.tenor)
+    """European call price; max(S - K e^{-rT}, 0) when vol * sqrt(T) = 0 or K e^{-rT} = inf."""
+    discounted_strike = _discounted_strike(b)
     srt = b.vol * math.sqrt(b.tenor)
-    if srt == 0.0:
+    if srt == 0.0 or discounted_strike == math.inf:
         return max(b.spot - discounted_strike, 0.0)
     d1, d2 = _d1_d2(b, srt)
     return max(b.spot * std_normal_cdf(d1) - discounted_strike * std_normal_cdf(d2), 0.0)
 
 
 def bs_put(b: BsInputs) -> float:
-    """European put price; max(K e^{-rT} - S, 0) when vol * sqrt(T) = 0."""
-    discounted_strike = b.strike * math.exp(-b.rate * b.tenor)
+    """European put price; max(K e^{-rT} - S, 0) when vol * sqrt(T) = 0 or K e^{-rT} = inf."""
+    discounted_strike = _discounted_strike(b)
     srt = b.vol * math.sqrt(b.tenor)
-    if srt == 0.0:
+    if srt == 0.0 or discounted_strike == math.inf:
         return max(discounted_strike - b.spot, 0.0)
     d1, d2 = _d1_d2(b, srt)
     return max(discounted_strike * std_normal_cdf(-d2) - b.spot * std_normal_cdf(-d1), 0.0)

@@ -15,13 +15,24 @@ matter how many workers evaluate the chunks.  This determinism is a
 contract: do not change CHUNK_SIZE or the seeding scheme without bumping
 the protocol note above.
 
-numpy is imported by the functions that sample, not at module level, so
-commands that never run the oracle do not pay for loading it.
+Scheduling: the chunks run on ``w = min(usable CPUs, chunks)`` worker
+threads (numpy's generator and reductions release the GIL).  Worker ``k``
+runs chunks ``k, k + w, k + 2w, ...`` in place in its own two float64
+buffers of one chunk each (16 MB per worker at ``CHUNK_SIZE``), allocated
+up front by the calling thread, so a chunk allocates no array of its own.
+With one worker the chunks run in the calling thread and no pool is
+started.
+
+numpy is imported by the functions that sample, and ``concurrent.futures``
+only when a pool is needed, so commands that never run the oracle, or run
+a single chunk, do not pay for loading them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -48,22 +59,43 @@ class McEstimate:
     seed: int
 
 
-def _payoff(mode: str, strike: float, x: np.ndarray) -> np.ndarray:
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _chunk_moments(mode: str, strike: float, g: GaussianParams,
+                   rng: np.random.Generator, x: np.ndarray,
+                   d2: np.ndarray) -> tuple[int, float, float, float, float]:
+    """(n, mean, M2, M3, M4) of one chunk's payoffs; Mk are sums of centered powers.
+
+    Draws ``x.size`` variates into ``x`` and overwrites ``x`` and ``d2``.
+    Every element and every reduction equals the expression form
+    ``y = payoff(g.mean + g.sd * z)``, ``dev = y - m``, ``d2 = dev * dev``,
+    ``(d2 * dev).sum()``, ``(d2 * d2).sum()``, so results are bit-identical
+    to it.
+    """
     import numpy as np
 
+    rng.standard_normal(x.size, out=x)
+    x *= g.sd
+    x += g.mean
     if mode == "min":
-        return np.minimum(strike, x)
-    if mode == "max":
-        return np.maximum(strike, x)
-    return np.maximum(strike - x, 0.0)
-
-
-def _chunk_moments(y: np.ndarray) -> tuple[int, float, float, float, float]:
-    """(n, mean, M2, M3, M4) of one chunk; Mk are sums of centered powers."""
-    m = float(y.mean())
-    dev = y - m
-    d2 = dev * dev
-    return (y.size, m, float(d2.sum()), float((d2 * dev).sum()), float((d2 * d2).sum()))
+        np.minimum(strike, x, out=x)
+    elif mode == "max":
+        np.maximum(strike, x, out=x)
+    else:
+        np.subtract(strike, x, out=x)
+        np.maximum(x, 0.0, out=x)
+    m = float(x.mean())
+    x -= m
+    np.multiply(x, x, out=d2)
+    m2 = float(d2.sum())
+    x *= d2
+    d2 *= d2
+    return (x.size, m, m2, float(x.sum()), float(d2.sum()))
 
 
 def _merge_moments(a, b):
@@ -104,19 +136,31 @@ def mc_sample_stats(strike: float, g: GaussianParams, n: int, seed: int,
 
     import numpy as np
 
-    total = None
-    produced = 0
-    chunk_index = 0
-    while produced < n:
-        count = min(CHUNK_SIZE, n - produced)
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, chunk_index))))
-        x = g.mean + g.sd * rng.standard_normal(count)
-        stats = _chunk_moments(_payoff(mode, strike, x))
-        total = stats if total is None else _merge_moments(total, stats)
-        produced += count
-        chunk_index += 1
+    counts = [min(CHUNK_SIZE, n - start) for start in range(0, n, CHUNK_SIZE)]
+    workers = min(_usable_cpus(), len(counts))
+    buffers = [(np.empty(counts[0]), np.empty(counts[0])) for _ in range(workers)]
 
-    n_total, mean, m2, _m3, m4 = total
+    def lane(k):
+        """Moments of chunks k, k + workers, ... computed in worker k's buffers."""
+        x, d2 = buffers[k]
+        stats = []
+        for i in range(k, len(counts), workers):
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
+            stats.append(_chunk_moments(mode, strike, g, rng, x[:counts[i]], d2[:counts[i]]))
+        return stats
+
+    if workers == 1:
+        lanes = [lane(0)]
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            lanes = list(pool.map(lane, range(workers)))
+    chunks = [None] * len(counts)
+    for k, stats in enumerate(lanes):
+        chunks[k::workers] = stats
+
+    n_total, mean, m2, _m3, m4 = functools.reduce(_merge_moments, chunks)
     if m2 <= 0.0:
         return McEstimate(mean=mean, sd=0.0, se_mean=0.0, se_sd=0.0,
                           n_samples=n_total, seed=seed)

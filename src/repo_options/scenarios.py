@@ -38,6 +38,7 @@ commands that never read a scenario file do not pay for loading it.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from functools import cache
 from importlib import resources
@@ -130,10 +131,25 @@ def validate_scenario_data(data: Any) -> None:
         )
 
 
+def _check_float_range(value: Any, pointer: str = "") -> None:
+    """Reject integers no float can hold: the engines compute in floats.
+
+    JSON and the schema put no bound on an integer's size, and ``float()``
+    of one past ``sys.float_info.max`` raises ``OverflowError``.
+    """
+
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _check_float_range(item, f"{pointer}/{key}")
+    elif isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ValidationError(f"scenario rejected at {pointer}: integer beyond the float range")
+
+
 def parse_scenario(data: Any) -> Scenario:
     """Validate a decoded JSON document and build a typed :class:`Scenario`."""
 
     validate_scenario_data(data)
+    _check_float_range(data)
 
     market_raw = data["market"]
     currency = market_raw.get("currency", "USD")
@@ -198,6 +214,8 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ParseError(
             f"invalid JSON in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal longer than sys.get_int_max_str_digits()
+        raise ParseError(f"invalid JSON in {path}: {exc}") from exc
     return parse_scenario(data)
 
 

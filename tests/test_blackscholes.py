@@ -43,6 +43,20 @@ def test_zero_vol_branches():
     assert bs_call(put) == 0.0
 
 
+def test_overflowing_inputs_take_their_limits():
+    # S/K underflows to 0: ln(S/K) comes from the difference of logs, and the
+    # put is worth the strike
+    tiny_spot = BsInputs(spot=5e-324, strike=2.0, rate=0.0, vol=1.0, tenor=1.0 / 360.0)
+    assert bs_put(tiny_spot) == 2.0
+    assert bs_call(tiny_spot) == 0.0
+    # e^{-rT} overflows: K e^{-rT} is infinite, so the call is worthless and
+    # the put unbounded
+    deep_negative_rate = BsInputs(spot=1e5, strike=1e5, rate=-94.0, vol=0.19,
+                                  tenor=2719.0 / 360.0)
+    assert bs_call(deep_negative_rate) == 0.0
+    assert bs_put(deep_negative_rate) == math.inf
+
+
 # --- dual route: lognormal expectation by quadrature ---
 
 

@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, formats, determinism, dispatch."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,9 +11,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repo_options
 from repo_options.cli import main
+from repo_options.scenarios import validate_scenario_data
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO_ROOT / "scenarios"
@@ -212,6 +217,16 @@ def test_invalid_json_is_exit_2(capsys, tmp_path):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_overlong_integer_literal_is_exit_2(capsys, tmp_path):
+    # past CPython's 4300-digit limit on int-from-string, json.loads raises ValueError
+    text = Path(GENERAL).read_text("utf-8")
+    text = text.replace('"tenor_days": 1', '"tenor_days": 1' + "0" * 5000)
+    bad = tmp_path / "overlong.json"
+    bad.write_text(text, encoding="utf-8")
+    assert main(["price-general", str(bad)]) == 2
+    assert "invalid JSON" in capsys.readouterr().err
+
+
 def test_schema_violation_is_exit_3(capsys, tmp_path):
     doc = json.loads(Path(GENERAL).read_text("utf-8"))
     doc["market"]["surprise"] = 1
@@ -275,6 +290,17 @@ def _finite_leaves(value) -> bool:
         # NaN carry from overflowing per-period rates fails the closing gate
         ("dealer-sim", DEALER_GAIN, {}, {"special_rate": 1e308, "general_rate": 1e308}, 5,
          None),
+        # e^{-rT} overflows: the Black-Scholes put, and so the loan, is unbounded
+        ("price-special", SPECIAL, {"risk_free_rate": -94.0, "tenor_days": 2719}, {}, 4,
+         "outputs.quote.lent_amount is inf"),
+        # S/K underflows inside ln(S/K): finite premium, unbounded premium rate
+        ("price-special", SPECIAL, {"spot_price": 5e-324, "volatility": 1.0},
+         {"repurchase_price": 2.0}, 4, "outputs.quote.premium_rate is inf"),
+        # JSON integers past the float range
+        ("price-general", GENERAL, {"tenor_days": 10**400}, {}, 3,
+         "/market/tenor_days: integer beyond the float range"),
+        ("price-general", GENERAL, {"risk_free_rate": -(10**400)}, {}, 3,
+         "/market/risk_free_rate: integer beyond the float range"),
     ],
 )
 def test_degenerate_inputs_fail_typed_or_stay_finite(
@@ -295,6 +321,81 @@ def test_degenerate_inputs_fail_typed_or_stay_finite(
     else:
         assert captured.err.startswith("error:")
         assert err is None or err in captured.err
+
+
+def _json_number(typical, minimum=None, exclusive=False):
+    """JSON numbers the schema accepts: typical floats half the time, else any float or integer.
+
+    The typical range leaves out its lower end, which the full range covers.
+    """
+    return st.one_of(
+        st.floats(*typical, exclude_min=True),
+        st.one_of(
+            st.floats(minimum, None, exclude_min=exclusive, allow_nan=False,
+                      allow_infinity=False),
+            st.integers(-(2**64) if minimum is None else minimum + exclusive, 2**64),
+        ),
+    )
+
+
+_market = st.fixed_dictionaries(
+    {
+        "spot_price": _json_number((0, 1e9), 0, exclusive=True),
+        "intrinsic_yield": _json_number((-0.1, 0.2)),
+        "volatility": _json_number((0, 1), 0),
+        "tenor_days": st.one_of(st.integers(1, 365), st.integers(1, 2**1000)),
+        "risk_free_rate": _json_number((-0.05, 0.1)),
+        "day_count": st.sampled_from([360, 365]),
+    },
+    optional={"currency": st.text(min_size=1)},
+)
+
+
+@st.composite
+def _market_and_terms(draw):
+    """A market and strike terms: any repurchase price or sigma multiple, or one near spot."""
+    market = draw(_market)
+    terms = draw(st.one_of(
+        st.fixed_dictionaries({"repurchase_price": _json_number((0, 1e9), 0, exclusive=True)}),
+        st.fixed_dictionaries({"sigma_multiple": _json_number((0, 4), 0)}),
+        st.floats(0.5, 1.0).map(lambda f: {"repurchase_price": f * market["spot_price"]})
+        .filter(lambda t: 0.0 < t["repurchase_price"] < math.inf),
+    ))
+    return market, terms
+
+
+# Some documents get an integer past the float range (still a JSON number
+# the schema accepts) in one market field.
+_past_float_range = st.one_of(st.none(), st.sampled_from(
+    ["spot_price", "intrinsic_yield", "volatility", "tenor_days", "risk_free_rate"]))
+_COMMANDS = {"general": "price-general", "special_lender": "price-special"}
+
+
+def _reject_constant(token):
+    raise AssertionError(f"non-standard JSON token {token}")
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(kind=st.sampled_from(sorted(_COMMANDS)), market_and_terms=_market_and_terms(),
+       huge_field=_past_float_range)
+def test_schema_valid_quotes_are_finite_or_typed_errors(tmp_path_factory, kind,
+                                                        market_and_terms, huge_field):
+    market, terms = market_and_terms
+    doc = {"schema_version": "1", "kind": kind, "market": market, "terms": terms}
+    if huge_field is not None:
+        market[huge_field] = 10**400
+    validate_scenario_data(doc)
+    path = tmp_path_factory.mktemp("property") / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([_COMMANDS[kind], str(path), "--format", "json"])
+    if code == 0:
+        assert _finite_leaves(json.loads(out.getvalue(), parse_constant=_reject_constant))
+    else:
+        assert code in (3, 4, 5), err.getvalue()
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
 
 
 def test_argparse_errors_are_exit_2(capsys):
@@ -364,7 +465,8 @@ def loaded(*argv):
             code = main(list(argv))
         if code != 0:
             sys.exit(f"{argv} exited {code}")
-    return sorted(m for m in ("numpy", "jsonschema") if m in sys.modules)
+    return sorted(m for m in ("numpy", "jsonschema", "concurrent.futures")
+                  if m in sys.modules)
 
 general, general_mc = sys.argv[1:]
 print(json.dumps([
@@ -377,7 +479,11 @@ print(json.dumps([
 
 
 def test_heavy_imports_load_only_when_used():
-    """numpy loads only for an oracle run, jsonschema only to validate a scenario."""
+    """numpy loads only for an oracle run, jsonschema only to validate a scenario.
+
+    ``concurrent.futures`` (which pulls in ``logging``) loads only for an
+    oracle run of more than one chunk, so the 1-chunk oracle run leaves it out.
+    """
     package_root = str(Path(repo_options.__file__).resolve().parent.parent)
     result = subprocess.run(
         [sys.executable, "-c", _HEAVY_IMPORT_PROBE, GENERAL, GENERAL_MC],

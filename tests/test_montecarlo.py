@@ -1,6 +1,7 @@
 """Simulation estimator: determinism, merge correctness, standard errors."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -16,7 +17,8 @@ from repo_options import (
     mc_sample_stats,
     put_payoff_mean,
 )
-from repo_options.montecarlo import CHUNK_SIZE
+from repo_options import montecarlo
+from repo_options.montecarlo import CHUNK_SIZE, MODES, _merge_moments
 
 G = GaussianParams(mean=100.0, sd=15.0)
 
@@ -60,6 +62,62 @@ def test_chunked_merge_matches_single_pass_numpy():
     assert est.n_samples == n
     assert est.mean == pytest.approx(float(y.mean()), rel=1e-12)
     assert est.sd == pytest.approx(float(y.std(ddof=1)), rel=1e-10)
+
+
+def _expression_form_estimate(strike, g, n, seed, mode):
+    """The estimate rebuilt chunk by chunk with plain array expressions."""
+    payoff = {
+        "min": lambda x: np.minimum(strike, x),
+        "max": lambda x: np.maximum(strike, x),
+        "put-payoff": lambda x: np.maximum(strike - x, 0.0),
+    }[mode]
+    chunks = []
+    for chunk_index, start in enumerate(range(0, n, CHUNK_SIZE)):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, chunk_index))))
+        y = payoff(g.mean + g.sd * rng.standard_normal(min(CHUNK_SIZE, n - start)))
+        m = float(y.mean())
+        dev = y - m
+        d2 = dev * dev
+        chunks.append((y.size, m, float(d2.sum()), float((d2 * dev).sum()),
+                       float((d2 * d2).sum())))
+    n_total, mean, m2, _m3, m4 = functools.reduce(_merge_moments, chunks)
+    sd = math.sqrt(m2 / (n_total - 1))
+    kurtosis = n_total * m4 / (m2 * m2)
+    return McEstimate(mean=mean, sd=sd, se_mean=sd / math.sqrt(n_total),
+                      se_sd=sd * math.sqrt(max(kurtosis - 1.0, 0.0) / (4.0 * n_total)),
+                      n_samples=n_total, seed=seed)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_in_place_kernel_is_bit_identical_to_expression_form(mode):
+    # three chunks with a ragged tail; the strike censors about a quarter of the mass
+    n = 2 * CHUNK_SIZE + CHUNK_SIZE // 2 + 17
+    strike, seed = G.mean - 0.7 * G.sd, 31
+    assert mc_sample_stats(strike, G, n, seed, mode) == _expression_form_estimate(
+        strike, G, n, seed, mode)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("n", [17, CHUNK_SIZE, 3 * CHUNK_SIZE + CHUNK_SIZE // 2])
+def test_worker_count_does_not_change_the_estimate(monkeypatch, mode, n):
+    kernel = montecarlo._chunk_moments
+    estimates, buffers = {}, {}
+    for cpus in (1, 2, 3, 5):
+        used = set()
+
+        def spy(*args):
+            used.add(args[-1].__array_interface__["data"][0])  # the lane's d2 buffer
+            return kernel(*args)
+
+        monkeypatch.setattr(montecarlo, "_usable_cpus", lambda cpus=cpus: cpus)
+        monkeypatch.setattr(montecarlo, "_chunk_moments", spy)
+        estimates[cpus] = mc_sample_stats(97.0, G, n, 8, mode)
+        buffers[cpus] = len(used)
+    assert estimates[2] == estimates[1]
+    assert estimates[3] == estimates[1]
+    assert estimates[5] == estimates[1]
+    n_chunks = -(-n // CHUNK_SIZE)
+    assert buffers == {cpus: min(cpus, n_chunks) for cpus in (1, 2, 3, 5)}
 
 
 def test_chunk_boundary_sizes_change_results_continuously():
