@@ -33,7 +33,6 @@ from .dealer import (
     LedgerState,
     LiquidityCondition,
     check_liquidity,
-    replay_step_log,
     run_dealer_scenario,
 )
 from .errors import (
@@ -84,7 +83,6 @@ __all__ = [
     "LedgerState",
     "LiquidityCondition",
     "check_liquidity",
-    "replay_step_log",
     "run_dealer_scenario",
     "LiquidityError",
     "ParseError",

@@ -42,6 +42,7 @@ from .errors import (
     EXIT_PARSE,
     EXIT_PRICING,
     ParseError,
+    PricingError,
     RepoOptionsError,
     ToleranceError,
     ValidationError,
@@ -50,6 +51,7 @@ from .general_repo import (
     bs_haircut,
     forward_gaussian,
     haircut_identity_residual,
+    haircut_identity_terms,
     lender_rate_from_bs,
     price_general_repo,
 )
@@ -136,6 +138,12 @@ def general_report(scenario: Scenario, seed_override: int | None = None) -> dict
     benchmark = bs_haircut(market, strike)
     residual = haircut_identity_residual(quote, market)
     if not abs(residual) <= IDENTITY_TOLERANCE:
+        name, term = max(haircut_identity_terms(quote, market).items(), key=lambda t: abs(t[1]))
+        if abs(term) * sys.float_info.epsilon > IDENTITY_TOLERANCE:
+            raise PricingError(
+                f"per-period {name} {term:.3e} is outside the model's domain: rounding "
+                f"at that size alone exceeds the {IDENTITY_TOLERANCE:.0e} identity tolerance"
+            )
         raise ToleranceError(
             f"haircut identity residual {residual:.3e} exceeds {IDENTITY_TOLERANCE:.0e}"
         )

@@ -149,15 +149,6 @@ class LedgerState:
         return [entry.to_record() for entry in self.step_log]
 
 
-def replay_step_log(records: list[dict]) -> LedgerState:
-    """Rebuild a LedgerState by re-applying serialized step records."""
-    state = LedgerState()
-    for record in records:
-        state.apply(record["step"], record["label"], record["cash_delta"],
-                    record["note_delta"], record["collateral_delta"])
-    return state
-
-
 @dataclass(frozen=True)
 class LiquidityCondition:
     """One funding condition with its slack (negative slack = violated)."""

@@ -198,6 +198,13 @@ def lender_rate_from_bs(m: MarketParams, repurchase_price: float) -> float:
     return rate_pp / m.period_years
 
 
+def haircut_identity_terms(q: GeneralRepoQuote, m: MarketParams) -> dict[str, float]:
+    """The per-period rates the haircut identity combines, by name."""
+    return {"implicit-call yield": q.option_yield,
+            "lender rate": q.revenue_mean / q.lent_amount - 1.0,
+            "intrinsic yield": q.forward_mean / m.spot_price - 1.0}
+
+
 def haircut_identity_residual(q: GeneralRepoQuote, m: MarketParams) -> float:
     """Residual of the haircut identity, all rates per period.
 
@@ -205,6 +212,6 @@ def haircut_identity_residual(q: GeneralRepoQuote, m: MarketParams) -> float:
     is exactly zero in real arithmetic for any quote built from the
     definitions; the residual measures floating-point noise only.
     """
-    intrinsic_pp = q.forward_mean / m.spot_price - 1.0
-    lender_pp = q.revenue_mean / q.lent_amount - 1.0
-    return q.haircut_rate * (q.option_yield - lender_pp) - (intrinsic_pp - lender_pp)
+    terms = haircut_identity_terms(q, m)
+    lender_pp = terms["lender rate"]
+    return q.haircut_rate * (q.option_yield - lender_pp) - (terms["intrinsic yield"] - lender_pp)

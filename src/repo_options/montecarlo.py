@@ -20,12 +20,14 @@ threads (numpy's generator and reductions release the GIL).  Worker ``k``
 runs chunks ``k, k + w, k + 2w, ...`` in place in its own two float64
 buffers of one chunk each (16 MB per worker at ``CHUNK_SIZE``), allocated
 up front by the calling thread, so a chunk allocates no array of its own.
+The buffers live in anonymous memory maps of their own, so their memory
+goes back to the OS when the call returns, whatever the C heap's layout.
 With one worker the chunks run in the calling thread and no pool is
 started.
 
-numpy is imported by the functions that sample, and ``concurrent.futures``
-only when a pool is needed, so commands that never run the oracle, or run
-a single chunk, do not pay for loading them.
+numpy and ``mmap`` are imported by the functions that sample, and
+``concurrent.futures`` only when a pool is needed, so commands that never
+run the oracle, or run a single chunk, do not pay for loading them.
 """
 
 from __future__ import annotations
@@ -64,6 +66,17 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _mapped_buffer(np, count: int) -> np.ndarray:
+    """A float64 array of ``count`` elements in an anonymous memory map of its own."""
+    import mmap
+
+    if not hasattr(mmap, "MADV_HUGEPAGE"):  # e.g. Windows, which has no private-map flags
+        return np.frombuffer(mmap.mmap(-1, 8 * count), np.float64)
+    mapped = mmap.mmap(-1, 8 * count, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    mapped.madvise(mmap.MADV_HUGEPAGE)  # every call faults fresh pages in; huge ones are cheaper
+    return np.frombuffer(mapped, np.float64)
 
 
 def _chunk_moments(mode: str, strike: float, g: GaussianParams,
@@ -138,7 +151,8 @@ def mc_sample_stats(strike: float, g: GaussianParams, n: int, seed: int,
 
     counts = [min(CHUNK_SIZE, n - start) for start in range(0, n, CHUNK_SIZE)]
     workers = min(_usable_cpus(), len(counts))
-    buffers = [(np.empty(counts[0]), np.empty(counts[0])) for _ in range(workers)]
+    buffers = [(_mapped_buffer(np, counts[0]), _mapped_buffer(np, counts[0]))
+               for _ in range(workers)]
 
     def lane(k):
         """Moments of chunks k, k + workers, ... computed in worker k's buffers."""

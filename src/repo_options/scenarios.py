@@ -30,14 +30,12 @@ Conventions enforced here:
 * an ``mc`` section (sampling size and seed for the simulation
   cross-check) is only meaningful for ``general`` and ``special_lender``
   scenarios and is rejected elsewhere.
-
-jsonschema is imported on the first validation, not at module level, so
-commands that never read a scenario file do not pay for loading it.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import sys
 from dataclasses import dataclass
 from functools import cache
@@ -51,8 +49,6 @@ from .general_repo import MarketParams, strike_from_sigma_multiple
 from .special_repo import SpecialRepoRelations, build_special_relations, max_fed_fee
 
 SCENARIO_SCHEMA_VERSION = "1"
-
-SCENARIO_KINDS = ("general", "special_lender", "special_relations", "dealer")
 
 #: Relative tolerance for the dealer-market consistency check
 #: ``spot_price == note_count * note_spot``.
@@ -80,15 +76,6 @@ def report_schema() -> Mapping[str, Any]:
     return _load_packaged_schema("report.schema.json")
 
 
-@cache
-def _validator():
-    """The scenario-schema validator, built once on first use."""
-
-    import jsonschema
-
-    return jsonschema.Draft202012Validator(scenario_schema())
-
-
 @dataclass(frozen=True)
 class McSettings:
     """Simulation cross-check settings from a scenario's ``mc`` section."""
@@ -109,47 +96,125 @@ class Scenario:
     raw: Mapping[str, Any]
 
 
-def _json_pointer(absolute_path) -> str:
-    parts = [str(p) for p in absolute_path]
-    return "/" + "/".join(parts) if parts else "/"
+# Validation interprets exactly the JSON Schema (Draft 2020-12) keywords the
+# scenario schema uses, and refuses a schema with any other when it loads it.
+_KEYWORDS = frozenset({
+    "$schema", "$id", "title", "description", "$defs", "type", "enum", "const", "minimum",
+    "maximum", "exclusiveMinimum", "exclusiveMaximum", "minLength", "required", "properties",
+    "additionalProperties", "allOf", "anyOf", "oneOf", "not", "if", "then", "$ref"})
+_TYPES = {"object": dict, "string": str, "number": (int, float), "integer": int}
+_BOUNDS = {"minimum": operator.lt, "maximum": operator.gt,
+           "exclusiveMinimum": operator.le, "exclusiveMaximum": operator.ge}
+
+
+def _refuse_unsupported(schema: Any, defs: Mapping[str, Any]) -> None:
+    if not isinstance(schema, dict):
+        raise NotImplementedError(f"scenario schema: boolean subschema {schema!r}")
+    unsupported = sorted(schema.keys() - _KEYWORDS)
+    if str(schema.get("type", "object")) not in _TYPES:
+        unsupported.append(f"type {schema['type']!r}")
+    if schema.get("additionalProperties", False) is not False:
+        unsupported.append("additionalProperties other than false")
+    if "$ref" in schema and schema["$ref"] not in {f"#/$defs/{name}" for name in defs}:
+        unsupported.append(f"$ref {schema['$ref']!r}")
+    if unsupported:
+        raise NotImplementedError(f"scenario schema uses unsupported {', '.join(unsupported)}")
+    nested = [schema[key] for key in ("not", "if", "then") if key in schema]
+    nested += [*schema.get("allOf", []), *schema.get("anyOf", []), *schema.get("oneOf", [])]
+    nested += [*schema.get("properties", {}).values(), *schema.get("$defs", {}).values()]
+    for sub in nested:
+        _refuse_unsupported(sub, defs)
+
+
+@cache
+def _checked_schema() -> Mapping[str, Any]:
+    schema = scenario_schema()
+    _refuse_unsupported(schema, schema.get("$defs", {}))
+    return schema
+
+
+def _is_type(x: Any, name: str) -> bool:
+    # a bool is no number; an integral float such as 30.0 is an integer
+    return not isinstance(x, bool) and (isinstance(x, _TYPES[name]) or (
+        name == "integer" and isinstance(x, float) and x.is_integer()))
+
+
+def _valid(schema: Mapping[str, Any], x: Any) -> bool:
+    errors: list = []
+    _walk(schema, x, (), errors)
+    return all(keyword is None for _, keyword, _ in errors)
+
+
+def _walk(schema: Mapping[str, Any], x: Any, path: tuple, out: list) -> None:
+    """Append ``(path, keyword, message)`` for each way ``x`` breaks ``schema``, and
+    keyword None for an integer no float can hold (the engines compute in floats)."""
+
+    if type(x) is int and abs(x) > sys.float_info.max:
+        out.append((path, None, "integer beyond the float range"))
+    for key, value in schema.items():
+        if key == "type":
+            if not _is_type(x, value):
+                out.append((path, key, f"{x!r} is not of type {value!r}"))
+        elif key in ("enum", "const"):
+            # JSON equality: 360.0 equals 360, but true is not 1
+            options = value if key == "enum" else [value]
+            if not any(x == v and isinstance(x, bool) == isinstance(v, bool) for v in options):
+                out.append((path, key, f"{x!r} is not one of {options!r}"))
+        elif key in _BOUNDS:
+            if _is_type(x, "number") and _BOUNDS[key](x, value):
+                out.append((path, key, f"{x!r} breaks {key} {value!r}"))
+        elif key == "minLength":
+            if isinstance(x, str) and len(x) < value:
+                out.append((path, key, f"{x!r} is too short"))
+        elif not isinstance(x, dict) and key in ("required", "properties", "additionalProperties"):
+            continue
+        elif key == "required":
+            out += [(path, key, f"{k!r} is a required property") for k in value if k not in x]
+        elif key == "properties":
+            for k, sub in value.items():
+                if k in x:
+                    _walk(sub, x[k], (*path, k), out)
+        elif key == "additionalProperties":
+            extras = sorted((k for k in x if k not in schema.get("properties", ())), key=str)
+            if extras:
+                out.append((path, key, f"properties {', '.join(map(repr, extras))} not allowed"))
+        elif key == "allOf":
+            for sub in value:
+                _walk(sub, x, path, out)
+        elif key in ("anyOf", "oneOf"):
+            passed = sum(_valid(sub, x) for sub in value)
+            if passed == 0 or key == "oneOf" and passed > 1:
+                out.append((path, key, f"{x!r} matches {passed} of its {key} schemas"))
+        elif key == "not":
+            if _valid(value, x):
+                out.append((path, key, f"{x!r} should not be valid under {value!r}"))
+        elif key == "if":
+            if "then" in schema and _valid(value, x):
+                _walk(schema["then"], x, path, out)
+        elif key == "$ref":
+            _walk(_checked_schema()["$defs"][value.removeprefix("#/$defs/")], x, path, out)
 
 
 def validate_scenario_data(data: Any) -> None:
     """Validate a decoded scenario document against the packaged schema.
 
-    Raises :class:`ValidationError` with a JSON-pointer location on the
-    first (most relevant) schema violation.
+    Raises :class:`ValidationError` at the JSON pointer ``jsonschema.best_match``
+    picks (shallowest, then greatest path, then not anyOf/oneOf); an integer
+    no float can hold ranks below every schema violation.
     """
 
-    import jsonschema
-
-    errors = sorted(_validator().iter_errors(data), key=jsonschema.exceptions.relevance)
+    errors: list = []
+    _walk(_checked_schema(), data, (), errors)
     if errors:
-        best = jsonschema.exceptions.best_match(errors)
-        raise ValidationError(
-            f"scenario rejected at {_json_pointer(best.absolute_path)}: {best.message}"
-        )
-
-
-def _check_float_range(value: Any, pointer: str = "") -> None:
-    """Reject integers no float can hold: the engines compute in floats.
-
-    JSON and the schema put no bound on an integer's size, and ``float()``
-    of one past ``sys.float_info.max`` raises ``OverflowError``.
-    """
-
-    if isinstance(value, dict):
-        for key, item in value.items():
-            _check_float_range(item, f"{pointer}/{key}")
-    elif isinstance(value, int) and abs(value) > sys.float_info.max:
-        raise ValidationError(f"scenario rejected at {pointer}: integer beyond the float range")
+        path, _, message = max(errors, key=lambda e: (
+            e[1] is not None, -len(e[0]), e[0], e[1] not in ("anyOf", "oneOf")))
+        raise ValidationError(f"scenario rejected at /{'/'.join(path)}: {message}")
 
 
 def parse_scenario(data: Any) -> Scenario:
     """Validate a decoded JSON document and build a typed :class:`Scenario`."""
 
     validate_scenario_data(data)
-    _check_float_range(data)
 
     market_raw = data["market"]
     currency = market_raw.get("currency", "USD")

@@ -9,7 +9,6 @@ from repo_options import (
     ValidationError,
     check_liquidity,
     max_fed_fee,
-    replay_step_log,
     run_dealer_scenario,
 )
 from repo_options.special_repo import haircut_from_rates
@@ -200,17 +199,6 @@ def test_note_repurchase_condition_tracks_price_gap():
     conditions = {c.name: c for c in check_liquidity(s, strict=True)}
     assert conditions["note_repurchase"].slack == pytest.approx(-200.0, rel=1e-12)
     assert not conditions["note_repurchase"].satisfied
-
-
-def test_replay_reproduces_final_state():
-    s = _scenario(intermediate_price=997.5, fed_fee=2.0)
-    state, _ = run_dealer_scenario(s)
-    records = state.to_records()
-    replayed = replay_step_log(records)
-    assert replayed.cash == state.cash
-    assert replayed.specific_notes == state.specific_notes
-    assert replayed.general_collateral == state.general_collateral
-    assert replayed.to_records() == records
 
 
 def test_records_are_json_ready():

@@ -120,6 +120,25 @@ def test_worker_count_does_not_change_the_estimate(monkeypatch, mode, n):
     assert buffers == {cpus: min(cpus, n_chunks) for cpus in (1, 2, 3, 5)}
 
 
+def test_buffers_are_released_when_the_call_returns(monkeypatch):
+    import mmap
+
+    maps = []
+
+    class Tracked(mmap.mmap):
+        def __new__(cls, *args, **kwargs):
+            maps.append(super().__new__(cls, *args, **kwargs))
+            return maps[-1]
+
+    monkeypatch.setattr(mmap, "mmap", Tracked)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    mc_sample_stats(97.0, G, 3 * CHUNK_SIZE, 8, "min")
+    # x and d2 for each of the two lanes, each in a map of its own
+    assert [len(m) for m in maps] == [8 * CHUNK_SIZE] * 4
+    for m in maps:
+        m.close()  # raises BufferError while any array still uses the map
+
+
 def test_chunk_boundary_sizes_change_results_continuously():
     # exactly one chunk vs one sample more: both must work and stay close
     a = mc_sample_stats(95.0, G, CHUNK_SIZE, 5, "min")

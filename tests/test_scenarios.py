@@ -1,10 +1,15 @@
 """Scenario file loading: schema enforcement, typed parsing, unit handling."""
 
+import copy
 import json
+import math
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repo_options import (
     ParseError,
@@ -15,6 +20,7 @@ from repo_options import (
     parse_scenario,
     strike_from_sigma_multiple,
 )
+from repo_options import scenarios
 from repo_options.scenarios import (
     annual_to_period,
     dealer_from_scenario,
@@ -300,3 +306,103 @@ def test_scenario_files_validate_against_schema_directly():
     validator = jsonschema.Draft202012Validator(scenario_schema())
     for path in sorted(SCENARIO_DIR.glob("*.json")):
         validator.validate(json.loads(path.read_text("utf-8")))
+
+
+@pytest.mark.parametrize("where, addition", [
+    (("properties", "market", "properties", "currency"), {"pattern": "^[A-Z]{3}$"}),
+    (("properties", "terms"), {"type": "array"}),
+    (("properties", "mc"), {"additionalProperties": {"type": "integer"}}),
+    (("$defs", "dealer_terms"), {"$ref": "https://example.com/dealer.json"}),
+])
+def test_unsupported_schema_keyword_refused_at_load(monkeypatch, where, addition):
+    schema = copy.deepcopy(scenario_schema())
+    node = schema
+    for key in where:
+        node = node[key]
+    node.update(addition)
+    monkeypatch.setattr(scenarios, "scenario_schema", lambda: schema)
+    scenarios._checked_schema.cache_clear()
+    try:
+        with pytest.raises(NotImplementedError, match="scenario schema"):
+            validate_scenario_data(_general_doc())
+    finally:
+        scenarios._checked_schema.cache_clear()
+
+
+_REFERENCE = jsonschema.Draft202012Validator(scenario_schema())
+_BUNDLED = [json.loads(p.read_text("utf-8")) for p in sorted(SCENARIO_DIR.glob("*.json"))]
+# What a mutation writes besides integers past the float range: other types
+# (30.0 and true among them) and both sides of each bound in the schema (0, 1, 2, 1e8).
+_VALUES = [30.0, 30, True, False, "x", "", "max", "1", None, [], {}, 360, 365.0, 0.5] + [
+    v for b in (0, 1, 2, 100_000_000)
+    for v in (b - 1, b, b + 1, float(b), -float(b), math.nextafter(b, -math.inf),
+              math.nextafter(b, math.inf))
+]
+_MC = [{"n": 1000, "seed": 7}, {"n": 1}, {"seed": 3}, 5, {"n": 2, "seed": 0, "surprise": 1}]
+
+
+def _key_paths(value, prefix=()):
+    for key, item in value.items():
+        yield (*prefix, key)
+        if isinstance(item, dict):
+            yield from _key_paths(item, (*prefix, key))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _mutate(doc, draw):
+    """Drop a key, add one, retype or re-bound a value, swap kind, or add or alter mc."""
+    keys = list(_key_paths(doc))
+    op = draw(st.sampled_from(["drop", "add", "set", "huge", "kind", "mc"]))
+    value = copy.deepcopy(draw(st.sampled_from(_VALUES)))
+    if op == "huge":
+        op, value = "set", draw(st.sampled_from([10**400, -(10**400)]))
+    if op == "drop" and keys:
+        *parent, key = draw(st.sampled_from(keys))
+        del _at(doc, parent)[key]
+    elif op == "add":
+        objects = [()] + [p for p in keys if isinstance(_at(doc, p), dict)]
+        name = draw(st.sampled_from(["surprise", "n", "kind", "sigma_multiple", "special_rate"]))
+        _at(doc, draw(st.sampled_from(objects)))[name] = value
+    elif op == "set" and keys:
+        *parent, key = draw(st.sampled_from(keys))
+        _at(doc, parent)[key] = value
+    elif op == "kind":
+        doc["kind"] = draw(st.sampled_from(
+            ["general", "special_lender", "special_relations", "dealer", "swap"]))
+    elif op == "mc" and isinstance(doc.get("mc"), dict) and draw(st.booleans()):
+        doc["mc"][draw(st.sampled_from(["n", "seed"]))] = value
+    elif op == "mc":
+        doc["mc"] = copy.deepcopy(draw(st.sampled_from(_MC)))
+
+
+def _past_float_range(value) -> bool:
+    if isinstance(value, dict):
+        return any(_past_float_range(v) for v in value.values())
+    return type(value) is int and abs(value) > sys.float_info.max
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(data=st.data())
+def test_validation_agrees_with_jsonschema_on_mutated_scenarios(data):
+    """Validation accepts what jsonschema accepts, bar integers past the float
+    range, and rejects at the pointer of ``jsonschema.best_match``."""
+    doc = copy.deepcopy(data.draw(st.sampled_from(_BUNDLED)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(doc, data.draw)
+    best = jsonschema.exceptions.best_match(_REFERENCE.iter_errors(doc))
+    try:
+        validate_scenario_data(doc)
+        where = message = None
+    except ValidationError as exc:
+        where, _, message = str(exc).removeprefix("scenario rejected at ").partition(": ")
+    if best is not None:
+        assert where == "/" + "/".join(map(str, best.absolute_path)), (best.message, message)
+    elif _past_float_range(doc):
+        assert message == "integer beyond the float range"
+    else:
+        assert where is None, message
