@@ -148,22 +148,16 @@ def general_report(scenario: Scenario, seed_override: int | None = None) -> dict
             f"haircut identity residual {residual:.3e} exceeds {IDENTITY_TOLERANCE:.0e}"
         )
     dc, td = market.day_count, market.tenor_days
+    quote_out = dict(
+        vars(quote),
+        repo_rate=rate_per_annum(quote.repo_rate, dc),
+        lender_rate=rate_per_annum(quote.lender_rate, dc),
+        option_yield=rate_per_period(quote.option_yield, td),
+    )
+    quote_out["revenue_sd_pct_of_spot"] = 100.0 * quote_out.pop("revenue_sd")
     outputs = {
         "currency": scenario.currency,
-        "quote": {
-            "repurchase_price": quote.repurchase_price,
-            "lent_amount": quote.lent_amount,
-            "haircut": quote.haircut,
-            "haircut_rate": quote.haircut_rate,
-            "repo_rate": rate_per_annum(quote.repo_rate, dc),
-            "lender_rate": rate_per_annum(quote.lender_rate, dc),
-            "revenue_mean": quote.revenue_mean,
-            "revenue_sd_abs": quote.revenue_sd_abs,
-            "revenue_sd_pct_of_spot": 100.0 * quote.revenue_sd,
-            "option_value_mean": quote.option_value_mean,
-            "option_yield": rate_per_period(quote.option_yield, td),
-            "forward_mean": quote.forward_mean,
-        },
+        "quote": quote_out,
         "benchmark": {
             "bs_haircut": benchmark,
             "haircut_gap": quote.haircut - benchmark,
@@ -192,15 +186,11 @@ def special_lender_report(scenario: Scenario, seed_override: int | None = None) 
     dc, td = market.day_count, market.tenor_days
     outputs = {
         "currency": scenario.currency,
-        "quote": {
-            "premium": quote.premium,
-            "premium_rate": quote.premium_rate,
-            "lent_amount": quote.lent_amount,
-            "repurchase_price": quote.repurchase_price,
-            "special_rate": rate_per_annum(quote.special_rate, dc),
-            "put_value_mean": quote.put_value_mean,
-            "trader_return": rate_per_period(quote.trader_return, td),
-        },
+        "quote": dict(
+            vars(quote),
+            special_rate=rate_per_annum(quote.special_rate, dc),
+            trader_return=rate_per_period(quote.trader_return, td),
+        ),
     }
     oracle = _oracle_section("put-payoff", strike, scenario, seed_override, quote.put_value_mean)
     return build_report(
@@ -222,19 +212,16 @@ def special_relations_report(scenario: Scenario) -> dict:
     per_year = 1.0 / market.period_years
     outputs = {
         "currency": scenario.currency,
-        "relations": {
-            "general_haircut": rel.general_haircut,
-            "special_haircut": rel.special_haircut,
-            "general_rate": rate_per_period(rel.general_rate, td),
-            "special_rate": rate_per_period(rel.special_rate, td),
-            "general_rate_pa": rate_per_annum(rel.general_rate * per_year, dc),
-            "special_rate_pa": rate_per_annum(rel.special_rate * per_year, dc),
-            "fee_rate": rate_per_period(rel.fee_rate, td),
-            "max_fee": rel.max_fee,
-            "general_lend": rel.general_lend,
-            "balance_residual": rel.balance_residual(),
-            "regime": regime,
-        },
+        "relations": dict(
+            vars(rel),
+            general_rate=rate_per_period(rel.general_rate, td),
+            special_rate=rate_per_period(rel.special_rate, td),
+            general_rate_pa=rate_per_annum(rel.general_rate * per_year, dc),
+            special_rate_pa=rate_per_annum(rel.special_rate * per_year, dc),
+            fee_rate=rate_per_period(rel.fee_rate, td),
+            balance_residual=rel.balance_residual(),
+            regime=regime,
+        ),
     }
     return build_report(command="price-special", inputs=scenario.raw, outputs=outputs)
 
@@ -255,22 +242,8 @@ def dealer_report(scenario: Scenario, strict: bool) -> dict:
             "general_rate": rate_per_period(ds.general_rate, td),
         },
         "steps": state.to_records(),
-        "liquidity": [
-            {
-                "name": c.name,
-                "slack": c.slack,
-                "satisfied": c.satisfied,
-                "enforced": c.enforced,
-            }
-            for c in conditions
-        ],
-        "cashflow": {
-            "interest_and_fees": cashflow.interest_and_fees,
-            "speculative": cashflow.speculative,
-            "total": cashflow.total,
-            "ledger_cash": cashflow.ledger_cash,
-            "decomposition_gap": cashflow.decomposition_gap,
-        },
+        "liquidity": [dict(vars(c)) for c in conditions],
+        "cashflow": dict(vars(cashflow), decomposition_gap=cashflow.decomposition_gap),
     }
     return build_report(command="dealer-sim", inputs=scenario.raw, outputs=outputs)
 
@@ -281,7 +254,7 @@ def reproduce_report(day_count: int, mc: bool, seed: int, n: int) -> dict:
     rows = build_reference_rows(day_count, mc=mc, seed=seed, n=n)
     failures = [row.name for row in rows if not row.within]
     outputs = {
-        "rows": [row.to_record() for row in rows],
+        "rows": [dict(vars(row), within=row.within) for row in rows],
         "all_within": not failures,
         "failures": failures,
     }
@@ -314,50 +287,6 @@ def compare_bs_report(scenario: Scenario, strikes: list[float]) -> dict:
     return build_report(command="compare-bs", inputs=scenario.raw, outputs=outputs)
 
 
-def _emit(doc: dict, args: argparse.Namespace) -> None:
-    text = render(doc, args.format)
-    if args.out:
-        Path(args.out).write_text(text, "utf-8")
-    else:
-        sys.stdout.write(text)
-
-
-def cmd_price_general(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
-    _require_kind(scenario, "general")
-    _emit(general_report(scenario, seed_override=args.seed), args)
-    return EXIT_OK
-
-
-def cmd_price_special(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
-    _require_kind(scenario, "special_lender", "special_relations")
-    if scenario.kind == "special_lender":
-        doc = special_lender_report(scenario, seed_override=args.seed)
-    else:
-        doc = special_relations_report(scenario)
-    _emit(doc, args)
-    return EXIT_OK
-
-
-def cmd_dealer_sim(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
-    _require_kind(scenario, "dealer")
-    _emit(dealer_report(scenario, strict=not args.no_strict), args)
-    return EXIT_OK
-
-
-def cmd_reproduce_examples(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else DEFAULT_MC_SEED
-    doc = reproduce_report(args.day_count, args.mc, seed, DEFAULT_MC_N)
-    _emit(doc, args)
-    failures = doc["outputs"]["failures"]
-    if failures:
-        print("tolerance failure: " + ", ".join(failures), file=sys.stderr)
-        return EXIT_PRICING
-    return EXIT_OK
-
-
 def _parse_strikes(text: str) -> list[float]:
     try:
         values = [float(token) for token in text.split(",") if token.strip()]
@@ -368,11 +297,23 @@ def _parse_strikes(text: str) -> list[float]:
     return values
 
 
-def cmd_compare_bs(args: argparse.Namespace) -> int:
+def _report(args: argparse.Namespace) -> dict:
+    """The report a parsed command asks for: by command, then by scenario kind."""
+
+    if args.command == "reproduce-examples":
+        seed = args.seed if args.seed is not None else DEFAULT_MC_SEED
+        return reproduce_report(args.day_count, args.mc, seed, DEFAULT_MC_N)
     scenario = load_scenario(args.scenario)
-    _require_kind(scenario, "general")
-    _emit(compare_bs_report(scenario, _parse_strikes(args.strikes)), args)
-    return EXIT_OK
+    _require_kind(scenario, *args.kinds)
+    if args.command == "compare-bs":
+        return compare_bs_report(scenario, _parse_strikes(args.strikes))
+    if scenario.kind == "general":
+        return general_report(scenario, seed_override=args.seed)
+    if scenario.kind == "special_lender":
+        return special_lender_report(scenario, seed_override=args.seed)
+    if scenario.kind == "special_relations":
+        return special_relations_report(scenario)
+    return dealer_report(scenario, strict=not args.no_strict)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -406,7 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="price a general-collateral loan and its implicit call",
     )
     p.add_argument("scenario", help="path to a scenario JSON file (kind: general)")
-    p.set_defaults(handler=cmd_price_general)
+    p.set_defaults(kinds=("general",))
 
     p = sub.add_parser(
         "price-special",
@@ -417,7 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "scenario",
         help="path to a scenario JSON file (kind: special_lender or special_relations)",
     )
-    p.set_defaults(handler=cmd_price_special)
+    p.set_defaults(kinds=("special_lender", "special_relations"))
 
     p = sub.add_parser(
         "dealer-sim",
@@ -430,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="let the realized trading gain count toward funding the closing leg",
     )
-    p.set_defaults(handler=cmd_dealer_sim)
+    p.set_defaults(kinds=("dealer",))
 
     p = sub.add_parser(
         "reproduce-examples",
@@ -447,7 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=360,
         help="rate-year convention (reference values assume 360)",
     )
-    p.set_defaults(handler=cmd_reproduce_examples)
+    p.set_defaults(kinds=())
 
     p = sub.add_parser(
         "compare-bs",
@@ -460,7 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         help="comma-separated repurchase prices (currency units)",
     )
-    p.set_defaults(handler=cmd_compare_bs)
+    p.set_defaults(kinds=("general",))
 
     return parser
 
@@ -476,10 +417,20 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_OK
         return EXIT_PARSE
     try:
-        return args.handler(args)
+        doc = _report(args)
+        text = render(doc, args.format)
+        if args.out:
+            Path(args.out).write_text(text, "utf-8")
+        else:
+            sys.stdout.write(text)
     except RepoOptionsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    failures = doc["outputs"]["failures"] if args.command == "reproduce-examples" else None
+    if failures:
+        print("tolerance failure: " + ", ".join(failures), file=sys.stderr)
+        return EXIT_PRICING
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -113,18 +113,6 @@ class LedgerStep:
     notes: int
     collateral: float
 
-    def to_record(self) -> dict:
-        return {
-            "step": self.step,
-            "label": self.label,
-            "cash_delta": self.cash_delta,
-            "note_delta": self.note_delta,
-            "collateral_delta": self.collateral_delta,
-            "cash": self.cash,
-            "notes": self.notes,
-            "collateral": self.collateral,
-        }
-
 
 @dataclass
 class LedgerState:
@@ -146,7 +134,7 @@ class LedgerState:
             notes=self.specific_notes, collateral=self.general_collateral))
 
     def to_records(self) -> list[dict]:
-        return [entry.to_record() for entry in self.step_log]
+        return [dict(vars(entry)) for entry in self.step_log]
 
 
 @dataclass(frozen=True)
@@ -168,6 +156,9 @@ class CashflowReport:
     speculative       = spot_value - intermediate_value
     total             = interest_and_fees + speculative
     ledger_cash       = final cash from replaying the nine steps
+
+    The first three are the closing_strict, note_repurchase and
+    closing_weak slacks of the liquidity conditions, bit for bit.
     """
 
     interest_and_fees: float
@@ -259,11 +250,7 @@ def run_dealer_scenario(s: DealerScenario,
     state.apply(9, "closing leg: collect general loan repayment, release collateral",
                 cash_delta=s.general_repayment, collateral_delta=-s.spot_value)
 
-    interest_and_fees = (s.general_lend * s.general_rate
-                         - s.client_loan * s.special_rate - s.fed_fee)
-    speculative = s.spot_value - s.intermediate_value
-    report = CashflowReport(interest_and_fees=interest_and_fees,
-                            speculative=speculative,
-                            total=interest_and_fees + speculative,
-                            ledger_cash=state.cash)
-    return state, report
+    return state, CashflowReport(interest_and_fees=conditions["closing_strict"],
+                                 speculative=conditions["note_repurchase"],
+                                 total=conditions["closing_weak"],
+                                 ledger_cash=state.cash)

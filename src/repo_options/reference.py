@@ -58,16 +58,6 @@ class ReferenceRow:
     def within(self) -> bool:
         return abs(self.computed - self.expected) <= self.tolerance
 
-    def to_record(self) -> dict:
-        return {
-            "name": self.name,
-            "computed": self.computed,
-            "expected": self.expected,
-            "tolerance": self.tolerance,
-            "units": self.units,
-            "within": self.within,
-        }
-
 
 def reference_market(day_count: int = 360) -> MarketParams:
     """The canonical one-day market behind all bundled reference cases."""

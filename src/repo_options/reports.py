@@ -31,7 +31,7 @@ import csv
 import io
 import json
 import math
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from . import __version__
 from .errors import PricingError, ValidationError
@@ -118,14 +118,15 @@ def _rows(doc: Mapping[str, Any]) -> list[tuple[str, Any]]:
     return sorted(flatten(doc), key=lambda item: item[0])
 
 
-def _scalar_full_precision(path: str, value: Any) -> str:
+def _cell(path: str, value: Any, none: str, number: Callable[[float], str]) -> str:
+    """One rendered scalar; ``none`` and ``number`` are the format's text for None and floats."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if value is None:
-        return ""
+        return none
     if isinstance(value, float):
         if math.isfinite(value):
-            return repr(value)
+            return number(value)
         raise _non_finite(path, value)
     return str(value)
 
@@ -137,20 +138,8 @@ def to_csv(doc: Mapping[str, Any]) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["field", "value"])
     for path, value in _rows(doc):
-        writer.writerow([path, _scalar_full_precision(path, value)])
+        writer.writerow([path, _cell(path, value, "", repr)])
     return buffer.getvalue()
-
-
-def _scalar_table(path: str, value: Any) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return "-"
-    if isinstance(value, float):
-        if math.isfinite(value):
-            return f"{value:.10g}"
-        raise _non_finite(path, value)
-    return str(value)
 
 
 def to_table(doc: Mapping[str, Any]) -> str:
@@ -158,7 +147,8 @@ def to_table(doc: Mapping[str, Any]) -> str:
 
     rows = _rows(doc)
     width = max((len(path) for path, _ in rows), default=0)
-    lines = [f"{path.ljust(width)}  {_scalar_table(path, value)}" for path, value in rows]
+    number = "{:.10g}".format
+    lines = [f"{path.ljust(width)}  {_cell(path, value, '-', number)}" for path, value in rows]
     return "\n".join(lines) + "\n"
 
 

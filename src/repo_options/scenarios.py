@@ -48,20 +48,15 @@ from .errors import ParseError, ValidationError
 from .general_repo import MarketParams, strike_from_sigma_multiple
 from .special_repo import SpecialRepoRelations, build_special_relations, max_fed_fee
 
-SCENARIO_SCHEMA_VERSION = "1"
-
 #: Relative tolerance for the dealer-market consistency check
 #: ``spot_price == note_count * note_spot``.
 MARKET_CONSISTENCY_RTOL = 1e-9
 
-_SCHEMA_CACHE: dict[str, Any] = {}
 
-
+@cache
 def _load_packaged_schema(name: str) -> Mapping[str, Any]:
-    if name not in _SCHEMA_CACHE:
-        text = resources.files("repo_options").joinpath("schemas", name).read_text("utf-8")
-        _SCHEMA_CACHE[name] = json.loads(text)
-    return _SCHEMA_CACHE[name]
+    text = resources.files("repo_options").joinpath("schemas", name).read_text("utf-8")
+    return json.loads(text)
 
 
 def scenario_schema() -> Mapping[str, Any]:

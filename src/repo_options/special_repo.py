@@ -74,11 +74,11 @@ class SpecialRepoRelations:
         return ((1.0 + self.special_rate) * (1.0 - self.special_haircut)
                 - (1.0 + self.general_rate) * (1.0 - self.general_haircut))
 
-    def validate(self, tolerance: float = REGIME_TOLERANCE) -> None:
+    def validate(self) -> None:
         residual = self.balance_residual()
-        if not abs(residual) <= tolerance:
+        if not abs(residual) <= REGIME_TOLERANCE:
             raise ValidationError(f"inconsistent special-repo relations: balance "
-                                  f"residual {residual:.3e} exceeds {tolerance:.0e}")
+                                  f"residual {residual:.3e} exceeds {REGIME_TOLERANCE:.0e}")
 
 
 def price_lender_fail(m: MarketParams, repurchase_price: float) -> SpecialLenderQuote:

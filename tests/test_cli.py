@@ -196,13 +196,32 @@ def test_compare_bs_bad_strikes(capsys):
     assert "empty" in capsys.readouterr().err
 
 
-def test_kind_dispatch_rejected(capsys):
-    assert main(["price-general", SPECIAL]) == 3
-    assert "not supported" in capsys.readouterr().err
-    assert main(["price-special", GENERAL]) == 3
-    capsys.readouterr()
-    assert main(["dealer-sim", GENERAL]) == 3
-    capsys.readouterr()
+_ACCEPTED_KINDS = {
+    "price-general": ("general",),
+    "price-special": ("special_lender", "special_relations"),
+    "dealer-sim": ("dealer",),
+    "compare-bs": ("general",),
+}
+_FILE_OF_KIND = {"general": GENERAL, "special_lender": SPECIAL,
+                 "special_relations": RELATIONS, "dealer": DEALER_MAX}
+
+
+@pytest.mark.parametrize("command", sorted(_ACCEPTED_KINDS))
+@pytest.mark.parametrize("kind", sorted(_FILE_OF_KIND))
+def test_kind_dispatch_rejected(capsys, command, kind):
+    extra = ["--strikes", "97003.92"] if command == "compare-bs" else []
+    code = main([command, _FILE_OF_KIND[kind], *extra, "--format", "json"])
+    captured = capsys.readouterr()
+    accepted = _ACCEPTED_KINDS[command]
+    if kind in accepted:
+        assert code == 0, captured.err
+        assert json.loads(captured.out)["provenance"]["command"] == command
+    else:
+        expected = " or ".join(repr(k) for k in accepted)
+        assert code == 3
+        assert captured.out == ""
+        assert (f"scenario kind {kind!r} not supported by this command "
+                f"(expected {expected})") in captured.err
 
 
 def test_missing_file_is_exit_2(capsys):
@@ -383,6 +402,26 @@ def _reject_constant(token):
     raise AssertionError(f"non-standard JSON token {token}")
 
 
+def _assert_finite_or_typed_error(tmp_path_factory, command, doc, huge_field, flags=()):
+    """Run ``command`` on the schema-valid ``doc``: exit 0 with finite strict JSON, or a
+    typed error (exit 3/4/5, ``error:`` on stderr, nothing on stdout)."""
+    validate_scenario_data(doc)
+    # the schema accepts any integer here; validation refuses one past the float range
+    if huge_field is not None:
+        doc["market"][huge_field] = 10**400
+    path = tmp_path_factory.mktemp("property") / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, str(path), *flags, "--format", "json"])
+    if code == 0:
+        assert _finite_leaves(json.loads(out.getvalue(), parse_constant=_reject_constant))
+    else:
+        assert code in (3, 4, 5), err.getvalue()
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(kind=st.sampled_from(sorted(_COMMANDS)), market_and_terms=_market_and_terms(),
        huge_field=_past_float_range)
@@ -390,21 +429,95 @@ def test_schema_valid_quotes_are_finite_or_typed_errors(tmp_path_factory, kind,
                                                         market_and_terms, huge_field):
     market, terms = market_and_terms
     doc = {"schema_version": "1", "kind": kind, "market": market, "terms": terms}
-    validate_scenario_data(doc)
-    # the schema accepts any integer here; validation refuses one past the float range
-    if huge_field is not None:
-        market[huge_field] = 10**400
-    path = tmp_path_factory.mktemp("property") / "scenario.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([_COMMANDS[kind], str(path), "--format", "json"])
-    if code == 0:
-        assert _finite_leaves(json.loads(out.getvalue(), parse_constant=_reject_constant))
-    else:
-        assert code in (3, 4, 5), err.getvalue()
-        assert out.getvalue() == ""
-        assert err.getvalue().startswith("error: ")
+    _assert_finite_or_typed_error(tmp_path_factory, _COMMANDS[kind], doc, huge_field)
+
+
+_rate = _json_number((-0.05, 0.2))
+# haircuts: any number below 1 (exclusiveMaximum), typical ones half the time
+_haircut = st.one_of(
+    st.floats(0, 0.1),
+    st.one_of(
+        st.floats(None, 1, exclude_max=True, allow_nan=False, allow_infinity=False),
+        st.integers(-(2**64), 0),
+    ),
+)
+
+
+@st.composite
+def _relations_case(draw):
+    terms = draw(st.fixed_dictionaries(
+        {"general_haircut": _haircut, "general_rate": _rate},
+        optional={"special_haircut": _haircut, "special_rate": _rate},
+    ).filter(lambda t: "special_haircut" in t or "special_rate" in t))
+    return "price-special", "special_relations", draw(_market), terms, ()
+
+
+_dealer_rates_and_fee = st.one_of(
+    # all typical at once, so that some documents reach a funded ledger
+    st.fixed_dictionaries({
+        "special_rate": st.floats(-0.05, 0.2),
+        "general_rate": st.floats(-0.05, 0.2),
+        "special_haircut": st.floats(0, 0.1),
+        "general_haircut": st.floats(0, 0.1),
+        "fed_fee": st.one_of(st.just("max"), st.floats(0, 1e3)),
+    }),
+    st.fixed_dictionaries({
+        "special_rate": _rate,
+        "general_rate": _rate,
+        "special_haircut": _haircut,
+        "general_haircut": _haircut,
+        "fed_fee": st.one_of(st.just("max"), _json_number((0, 1e3), 0)),
+    }),
+)
+
+
+@st.composite
+def _dealer_case(draw):
+    """Dealer terms; three markets in four get the spot ``note_count * note_spot`` they must
+    have, the rest keep a random one."""
+    market = draw(_market)
+    note_count = draw(st.one_of(st.integers(1, 1000), st.integers(1, 2**64)))
+    note_spot = draw(_json_number((0, 1e4), 0, exclusive=True))
+    terms = {
+        "note_count": note_count,
+        "note_spot": note_spot,
+        "intermediate_price": draw(st.one_of(
+            _json_number((0, 1e4), 0, exclusive=True),
+            st.floats(0.9, 1.02).map(lambda f: f * note_spot)
+            .filter(lambda p: 0.0 < p < math.inf),
+        )),
+        **draw(_dealer_rates_and_fee),
+    }
+    implied = note_count * float(note_spot)
+    if draw(st.integers(0, 3)) and 0.0 < implied < math.inf:
+        market["spot_price"] = implied
+    flags = draw(st.sampled_from([(), ("--no-strict",)]))
+    return "dealer-sim", "dealer", market, terms, flags
+
+
+@st.composite
+def _compare_bs_case(draw):
+    """A general market and a ladder of 1-16 strikes: any number ``float`` parses,
+    or one near spot."""
+    market, terms = draw(_market_and_terms())
+    strikes = draw(st.lists(st.one_of(
+        st.floats(0.5, 1.0).map(lambda f: f * market["spot_price"]),
+        st.floats(),
+        st.integers(),
+    ), min_size=1, max_size=16))
+    # the "=" form, since a ladder may start with "-"
+    return "compare-bs", "general", market, terms, ("--strikes=" + ",".join(map(repr, strikes)),)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(case=st.one_of(_relations_case(), _dealer_case(), _compare_bs_case()),
+       huge_field=_past_float_range)
+def test_schema_valid_relations_dealer_and_ladders_are_finite_or_typed_errors(
+    tmp_path_factory, case, huge_field
+):
+    command, kind, market, terms, flags = case
+    doc = {"schema_version": "1", "kind": kind, "market": market, "terms": terms}
+    _assert_finite_or_typed_error(tmp_path_factory, command, doc, huge_field, flags)
 
 
 def test_argparse_errors_are_exit_2(capsys):
@@ -461,6 +574,18 @@ def test_console_script_installed(tmp_path):
     assert result.returncode == 0, result.stderr
     doc = json.loads(result.stdout)
     assert doc["provenance"]["tool"] == "repo-options"
+
+
+def test_bundled_outputs_match_golden():
+    """Every bundled scenario and ``reproduce-examples --mc`` still prints its golden
+    report (``perfbench/golden.py check``), so a change to a bundled number fails here."""
+    result = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "perfbench" / "golden.py"), "check"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
 
 
 # Runs in a fresh interpreter because pytest has already imported numpy.

@@ -126,6 +126,11 @@ def test_decomposition_matches_ledger_randomized():
         checked += 1
         assert abs(report.decomposition_gap) <= 1e-9 * s.spot_value
         assert report.ledger_cash == state.cash
+        # the report and the liquidity gates state one carry, to the bit
+        slack = {c.name: c.slack for c in check_liquidity(s, strict=False)}
+        assert report.interest_and_fees == slack["closing_strict"]
+        assert report.total == slack["closing_weak"]
+        assert report.speculative == slack["note_repurchase"]
     assert checked >= 300
 
 
