@@ -58,13 +58,7 @@ from .general_repo import (
 from .montecarlo import mc_sample_stats
 from .reference import DEFAULT_MC_N, DEFAULT_MC_SEED, build_reference_rows
 from .reports import FORMATS, build_report, rate_per_annum, rate_per_period, render
-from .scenarios import (
-    Scenario,
-    dealer_from_scenario,
-    load_scenario,
-    relations_from_scenario,
-    resolve_strike,
-)
+from .scenarios import Scenario, load_scenario
 from .special_repo import classify_regime, price_lender_fail
 
 #: Identity residual beyond this is a computation fault, not rounding.
@@ -132,8 +126,7 @@ def _oracle_section(
 def general_report(scenario: Scenario, seed_override: int | None = None) -> dict:
     """Report document for a ``general`` scenario."""
 
-    market = scenario.market
-    strike = resolve_strike(scenario)
+    market, strike = scenario.market, scenario.terms
     quote = price_general_repo(market, strike)
     benchmark = bs_haircut(market, strike)
     residual = haircut_identity_residual(quote, market)
@@ -180,8 +173,7 @@ def general_report(scenario: Scenario, seed_override: int | None = None) -> dict
 def special_lender_report(scenario: Scenario, seed_override: int | None = None) -> dict:
     """Report document for a ``special_lender`` scenario."""
 
-    market = scenario.market
-    strike = resolve_strike(scenario)
+    market, strike = scenario.market, scenario.terms
     quote = price_lender_fail(market, strike)
     dc, td = market.day_count, market.tenor_days
     outputs = {
@@ -205,8 +197,7 @@ def special_lender_report(scenario: Scenario, seed_override: int | None = None) 
 def special_relations_report(scenario: Scenario) -> dict:
     """Report document for a ``special_relations`` scenario."""
 
-    market = scenario.market
-    rel = relations_from_scenario(scenario)
+    market, rel = scenario.market, scenario.terms
     regime = classify_regime(rel)
     dc, td = market.day_count, market.tenor_days
     per_year = 1.0 / market.period_years
@@ -229,7 +220,7 @@ def special_relations_report(scenario: Scenario) -> dict:
 def dealer_report(scenario: Scenario, strict: bool) -> dict:
     """Report document for a ``dealer`` scenario (raises on liquidity failure)."""
 
-    ds = dealer_from_scenario(scenario)
+    ds = scenario.terms
     state, cashflow = run_dealer_scenario(ds, strict)
     conditions = check_liquidity(ds, strict)
     td = scenario.market.tenor_days

@@ -70,6 +70,11 @@ class DealerScenario:
             value = getattr(self, name)
             if not (math.isfinite(value) and value < 1.0):
                 raise ValidationError(f"{name} must be < 1, got {value!r}")
+        for name in ("spot_value", "intermediate_value", "client_loan", "general_lend",
+                     "client_repayment", "general_repayment"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValidationError(f"ledger amount {name} overflows to {value!r}")
         if not (math.isfinite(self.fed_fee) and self.fed_fee >= 0.0):
             raise ValidationError(f"fed_fee must be >= 0, got {self.fed_fee!r}")
 

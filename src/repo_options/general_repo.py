@@ -128,7 +128,7 @@ def price_general_repo(m: MarketParams, repurchase_price: float) -> GeneralRepoQ
     repo rate and implicit-call yield.
     """
     if not (math.isfinite(repurchase_price) and repurchase_price > 0.0):
-        raise ValidationError(f"repurchase_price must be > 0, got {repurchase_price!r}")
+        raise ValidationError(f"repurchase_price must be finite and > 0, got {repurchase_price!r}")
     g = forward_gaussian(m)
     if g.sd == 0.0:
         cause = ("volatility must be > 0" if m.volatility == 0.0 else

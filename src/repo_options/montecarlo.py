@@ -38,7 +38,7 @@ import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import ValidationError
+from .errors import PricingError, ValidationError
 from .stochastic import GaussianParams
 
 if TYPE_CHECKING:
@@ -138,7 +138,8 @@ def mc_sample_stats(strike: float, g: GaussianParams, n: int, seed: int,
     "put-payoff" ((strike - X)^+), matching the closed forms in
     `stochastic`.  se_mean = sd / sqrt(n); se_sd uses the fourth sample
     moment so that heavily censored (non-normal) payoffs get an honest
-    standard error for the sd as well.
+    standard error for the sd as well.  Raises PricingError when M2 * M2
+    underflows, since that standard error is then undefined.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise ValidationError(f"need n >= 2 samples for a standard deviation, got {n!r}")
@@ -158,9 +159,11 @@ def mc_sample_stats(strike: float, g: GaussianParams, n: int, seed: int,
         """Moments of chunks k, k + workers, ... computed in worker k's buffers."""
         x, d2 = buffers[k]
         stats = []
-        for i in range(k, len(counts), workers):
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
-            stats.append(_chunk_moments(mode, strike, g, rng, x[:counts[i]], d2[:counts[i]]))
+        # an overflow reaches the report's finite-output check; no numpy warning on stderr
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(k, len(counts), workers):
+                rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
+                stats.append(_chunk_moments(mode, strike, g, rng, x[:counts[i]], d2[:counts[i]]))
         return stats
 
     if workers == 1:
@@ -179,6 +182,9 @@ def mc_sample_stats(strike: float, g: GaussianParams, n: int, seed: int,
         return McEstimate(mean=mean, sd=0.0, se_mean=0.0, se_sd=0.0,
                           n_samples=n_total, seed=seed)
     sd = math.sqrt(m2 / (n_total - 1))
+    if m2 * m2 == 0.0:
+        raise PricingError(f"oracle payoff sd {sd:.3e} is too small for floating point: its "
+                           "fourth moment underflows, so the sd has no standard error")
     se_mean = sd / math.sqrt(n_total)
     kurtosis = n_total * m4 / (m2 * m2)
     se_sd = sd * math.sqrt(max(kurtosis - 1.0, 0.0) / (4.0 * n_total))

@@ -1,29 +1,31 @@
 """Scenario files: schema validation, parsing, and engine-input construction.
 
 A scenario is a JSON document described by ``schemas/scenario.schema.json``
-(``schema_version`` ``"1"``).  Four kinds are supported:
+(``schema_version`` ``"1"``).  Loading checks it once and keeps the engine
+input of its kind in ``Scenario.terms``.  Four kinds are supported:
 
 ``general``
     Collateralised lending against an uncertain forward value; ``terms``
     carries the repurchase price, either directly (``repurchase_price``)
     or as a multiple of the per-period forward standard deviation below
-    the forward mean (``sigma_multiple``).
+    the forward mean (``sigma_multiple``); loaded as the price.
 ``special_lender``
     Security-lender quote for a specific-collateral loan; same ``terms``
     shape as ``general``.
 ``special_relations``
     Algebraic consistency between general and special terms; ``terms``
     carries ``general_haircut``, ``general_rate`` and at least one of
-    ``special_haircut`` / ``special_rate``.
+    ``special_haircut`` / ``special_rate``; loaded as SpecialRepoRelations.
 ``dealer``
     Nine-step dealer financing ledger; ``terms`` carries the full set of
     dealer inputs, with ``fed_fee`` either a money amount or the string
-    ``"max"`` (resolve to the largest fee the closing leg can absorb).
+    ``"max"`` (resolved to the largest fee the closing leg can absorb);
+    loaded as a DealerScenario.
 
 Conventions enforced here:
 
 * every rate in a scenario file is **per annum**; engines work with
-  per-period rates, so this module converts by ``tenor_days / day_count``;
+  per-period rates, so loading converts by ``tenor_days / day_count``;
 * unknown fields are rejected at every level (schema
   ``additionalProperties: false``), so typos fail loudly instead of being
   silently ignored;
@@ -81,12 +83,13 @@ class McSettings:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A validated scenario: typed market, raw terms, optional MC settings."""
+    """A checked scenario: typed market, engine input of its kind (per-period rates),
+    optional MC settings, and the decoded document (``raw``) that reports echo."""
 
     kind: str
     market: MarketParams
     currency: str
-    terms: Mapping[str, Any]
+    terms: float | SpecialRepoRelations | DealerScenario
     mc: McSettings | None
     raw: Mapping[str, Any]
 
@@ -232,28 +235,53 @@ def parse_scenario(data: Any) -> Scenario:
             )
         mc = McSettings(n=int(data["mc"]["n"]), seed=int(data["mc"]["seed"]))
 
-    scenario = Scenario(
+    return Scenario(
         kind=kind,
         market=market,
         currency=currency,
-        terms=data["terms"],
+        terms=_engine_input(kind, market, data["terms"]),
         mc=mc,
         raw=data,
     )
-    _check_semantics(scenario)
-    return scenario
 
 
-def _check_semantics(scenario: Scenario) -> None:
-    if scenario.kind == "dealer":
-        terms = scenario.terms
-        implied = int(terms["note_count"]) * float(terms["note_spot"])
-        spot = scenario.market.spot_price
-        if abs(spot - implied) > MARKET_CONSISTENCY_RTOL * max(abs(spot), abs(implied)):
-            raise ValidationError(
-                "scenario rejected at /market/spot_price: expected "
-                f"note_count * note_spot = {implied!r}, got {spot!r}"
-            )
+def _engine_input(kind: str, market: MarketParams,
+                  terms: Mapping[str, Any]) -> float | SpecialRepoRelations | DealerScenario:
+    """The input the engine prices for ``kind``, with per-annum rates made per period."""
+
+    if kind in ("general", "special_lender"):
+        if "repurchase_price" in terms:
+            return float(terms["repurchase_price"])
+        return strike_from_sigma_multiple(market, float(terms["sigma_multiple"]))
+    rates = {name: float(terms[name]) * market.period_years
+             for name in ("general_rate", "special_rate") if name in terms}
+    if kind == "special_relations":
+        haircut = terms.get("special_haircut")
+        return build_special_relations(
+            market.spot_price, float(terms["general_haircut"]), rates["general_rate"],
+            special_haircut=None if haircut is None else float(haircut),
+            special_rate=rates.get("special_rate"))
+    note_count = int(terms["note_count"])
+    note_spot = float(terms["note_spot"])
+    implied, spot = note_count * note_spot, market.spot_price
+    if abs(spot - implied) > MARKET_CONSISTENCY_RTOL * max(abs(spot), abs(implied)):
+        raise ValidationError(
+            "scenario rejected at /market/spot_price: expected "
+            f"note_count * note_spot = {implied!r}, got {spot!r}"
+        )
+    fee = terms["fed_fee"]
+    special_haircut = float(terms["special_haircut"])
+    return DealerScenario(
+        note_count=note_count,
+        note_spot=note_spot,
+        intermediate_price=float(terms["intermediate_price"]),
+        special_rate=rates["special_rate"],
+        general_rate=rates["general_rate"],
+        special_haircut=special_haircut,
+        general_haircut=float(terms["general_haircut"]),
+        fed_fee=max_fed_fee(implied, special_haircut, rates["general_rate"],
+                            rates["special_rate"]) if fee == "max" else float(fee),
+    )
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -277,89 +305,3 @@ def load_scenario(path: str | Path) -> Scenario:
     except ValueError as exc:  # an integer literal longer than sys.get_int_max_str_digits()
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
     return parse_scenario(data)
-
-
-def resolve_strike(scenario: Scenario) -> float:
-    """Resolve the repurchase price for a ``general``/``special_lender`` scenario."""
-
-    if scenario.kind not in ("general", "special_lender"):
-        raise ValidationError(
-            f"scenario kind {scenario.kind!r} does not define a repurchase price"
-        )
-    terms = scenario.terms
-    if "repurchase_price" in terms:
-        return float(terms["repurchase_price"])
-    return strike_from_sigma_multiple(scenario.market, float(terms["sigma_multiple"]))
-
-
-def annual_to_period(rate_pa: float, market: MarketParams) -> float:
-    """Convert a per-annum simple rate to the scenario's period."""
-
-    return rate_pa * market.period_years
-
-
-def relations_from_scenario(scenario: Scenario) -> SpecialRepoRelations:
-    """Build the general/special rate-and-haircut relations for a scenario.
-
-    Rates in the file are per annum and are converted to the period implied
-    by ``tenor_days / day_count`` before the algebra runs.
-    """
-
-    if scenario.kind != "special_relations":
-        raise ValidationError(
-            f"scenario kind {scenario.kind!r} is not a special_relations scenario"
-        )
-    terms = scenario.terms
-    general_rate_pp = annual_to_period(float(terms["general_rate"]), scenario.market)
-    special_rate_pp = (
-        annual_to_period(float(terms["special_rate"]), scenario.market)
-        if "special_rate" in terms
-        else None
-    )
-    special_haircut = (
-        float(terms["special_haircut"]) if "special_haircut" in terms else None
-    )
-    return build_special_relations(
-        scenario.market.spot_price,
-        float(terms["general_haircut"]),
-        general_rate_pp,
-        special_haircut=special_haircut,
-        special_rate=special_rate_pp,
-    )
-
-
-def dealer_from_scenario(scenario: Scenario) -> DealerScenario:
-    """Build the dealer ledger inputs for a ``dealer`` scenario.
-
-    ``fed_fee: "max"`` resolves to the largest fee the closing leg can
-    absorb given the per-period rates and the special haircut.
-    """
-
-    if scenario.kind != "dealer":
-        raise ValidationError(f"scenario kind {scenario.kind!r} is not a dealer scenario")
-    terms = scenario.terms
-    market = scenario.market
-    special_rate_pp = annual_to_period(float(terms["special_rate"]), market)
-    general_rate_pp = annual_to_period(float(terms["general_rate"]), market)
-    note_count = int(terms["note_count"])
-    note_spot = float(terms["note_spot"])
-    fee = terms["fed_fee"]
-    if fee == "max":
-        fee_value = max_fed_fee(
-            note_count * note_spot,
-            float(terms["special_haircut"]),
-            general_rate_pp,
-            special_rate_pp,
-        )
-    else:
-        fee_value = float(fee)
-    return DealerScenario(
-        note_count=note_count,
-        note_spot=note_spot,
-        intermediate_price=float(terms["intermediate_price"]),
-        special_rate=special_rate_pp,
-        general_rate=general_rate_pp,
-        special_haircut=float(terms["special_haircut"]),
-        general_haircut=float(terms["general_haircut"]),
-        fed_fee=fee_value,
-    )

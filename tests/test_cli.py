@@ -8,6 +8,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import repo_options
 from repo_options.cli import main
+from repo_options.montecarlo import CHUNK_SIZE
 from repo_options.scenarios import validate_scenario_data
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -196,6 +198,50 @@ def test_compare_bs_bad_strikes(capsys):
     assert "empty" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("strike", ["inf", "nan"])
+def test_compare_bs_non_finite_strike_names_finiteness(capsys, strike):
+    assert main(["compare-bs", GENERAL, f"--strikes={strike}", "--format", "json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"repurchase_price must be finite and > 0, got {strike}" in captured.err
+
+
+def _write_scenario(tmp_path, base, edit) -> str:
+    doc = json.loads(Path(base).read_text("utf-8"))
+    edit(doc)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_compare_bs_checks_the_files_own_terms(capsys, tmp_path):
+    # the ladder replaces the file's strike, but the file must still be a valid scenario
+    path = _write_scenario(tmp_path, GENERAL, lambda d: d.update(terms={"sigma_multiple": 1e6}))
+    message = "sigma multiple 1000000.0 places the repurchase price at -1.00137e+09 <= 0"
+    for argv in (["price-general", path], ["compare-bs", path, "--strikes", "97003.92"]):
+        assert main([*argv, "--format", "json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
+def test_oracle_fourth_moment_underflow_is_typed_error(capsys, tmp_path):
+    # put payoffs of sd ~1e-122: M2 ~1e-240 is positive but M2 * M2 underflows to 0
+    def edit(doc):
+        doc["market"].update(spot_price=7.895203018359541e-139, volatility=4.61092173381031e+16,
+                             tenor_days=609, day_count=365,
+                             intrinsic_yield=7.895203018359541e-139,
+                             risk_free_rate=-7.835637468095666e-212)
+        doc.update(terms={"repurchase_price": 3.947601509179771e-139},
+                   mc={"n": 1796, "seed": 480389})
+
+    path = _write_scenario(tmp_path, SPECIAL, edit)
+    assert main(["price-special", path, "--format", "json"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: oracle payoff sd 2.777e-122 is too small")
+
+
 _ACCEPTED_KINDS = {
     "price-general": ("general",),
     "price-special": ("special_lender", "special_relations"),
@@ -306,9 +352,18 @@ def _finite_leaves(value) -> bool:
          None),
         # vol * sqrt(tenor) underflows: deterministic Black-Scholes branch
         ("price-special", SPECIAL, {"volatility": 5e-324}, {}, 0, None),
-        # NaN carry from overflowing per-period rates fails the closing gate
-        ("dealer-sim", DEALER_GAIN, {}, {"special_rate": 1e308, "general_rate": 1e308}, 5,
-         None),
+        # per-period rates so large that the repayments overflow: refused as out of
+        # domain, not reported as a closing leg with NaN slack
+        ("dealer-sim", DEALER_GAIN, {}, {"special_rate": 1e308, "general_rate": 1e308}, 3,
+         "ledger amount client_repayment overflows to inf"),
+        # haircuts so low that the loans overflow: refused before the fee, which
+        # "max" makes inf as well
+        ("dealer-sim", DEALER_MAX, {},
+         {"special_haircut": -1e308, "general_haircut": -1e308, "fed_fee": 0}, 3,
+         "ledger amount client_loan overflows to inf"),
+        ("dealer-sim", DEALER_MAX, {},
+         {"special_haircut": -1e308, "general_haircut": -1e308, "fed_fee": "max"}, 3,
+         "ledger amount client_loan overflows to inf"),
         # e^{-rT} overflows: the Black-Scholes put, and so the loan, is unbounded
         ("price-special", SPECIAL, {"risk_free_rate": -94.0, "tenor_days": 2719}, {}, 4,
          "outputs.quote.lent_amount is inf"),
@@ -398,13 +453,24 @@ _past_float_range = st.one_of(st.none(), st.sampled_from(
 _COMMANDS = {"general": "price-general", "special_lender": "price-special"}
 
 
+def _json_integer(minimum, maximum=None):
+    """JSON numbers the schema's ``integer`` accepts: ints, and floats such as ``30.0``."""
+    integers = st.integers(minimum, maximum)
+    return st.one_of(integers, integers.filter(lambda i: i < 2**1023).map(float))
+
+
+# Some documents ask for the oracle, over at most two chunks and any seed.
+_mc = st.one_of(st.none(), st.fixed_dictionaries(
+    {"n": _json_integer(2, 2 * CHUNK_SIZE), "seed": _json_integer(0)}))
+
+
 def _reject_constant(token):
     raise AssertionError(f"non-standard JSON token {token}")
 
 
 def _assert_finite_or_typed_error(tmp_path_factory, command, doc, huge_field, flags=()):
     """Run ``command`` on the schema-valid ``doc``: exit 0 with finite strict JSON, or a
-    typed error (exit 3/4/5, ``error:`` on stderr, nothing on stdout)."""
+    typed error (exit 3/4/5, ``error:`` on stderr, nothing on stdout); no warning either way."""
     validate_scenario_data(doc)
     # the schema accepts any integer here; validation refuses one past the float range
     if huge_field is not None:
@@ -412,8 +478,11 @@ def _assert_finite_or_typed_error(tmp_path_factory, command, doc, huge_field, fl
     path = tmp_path_factory.mktemp("property") / "scenario.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = main([command, str(path), *flags, "--format", "json"])
+    assert not caught, [str(w.message) for w in caught]
     if code == 0:
         assert _finite_leaves(json.loads(out.getvalue(), parse_constant=_reject_constant))
     else:
@@ -424,11 +493,13 @@ def _assert_finite_or_typed_error(tmp_path_factory, command, doc, huge_field, fl
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(kind=st.sampled_from(sorted(_COMMANDS)), market_and_terms=_market_and_terms(),
-       huge_field=_past_float_range)
+       huge_field=_past_float_range, mc=_mc)
 def test_schema_valid_quotes_are_finite_or_typed_errors(tmp_path_factory, kind,
-                                                        market_and_terms, huge_field):
+                                                        market_and_terms, huge_field, mc):
     market, terms = market_and_terms
     doc = {"schema_version": "1", "kind": kind, "market": market, "terms": terms}
+    if mc is not None:
+        doc["mc"] = mc
     _assert_finite_or_typed_error(tmp_path_factory, _COMMANDS[kind], doc, huge_field)
 
 

@@ -21,15 +21,7 @@ from repo_options import (
     strike_from_sigma_multiple,
 )
 from repo_options import scenarios
-from repo_options.scenarios import (
-    annual_to_period,
-    dealer_from_scenario,
-    relations_from_scenario,
-    report_schema,
-    resolve_strike,
-    scenario_schema,
-    validate_scenario_data,
-)
+from repo_options.scenarios import report_schema, scenario_schema, validate_scenario_data
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -102,7 +94,7 @@ def test_valid_document_parses_with_defaults():
     assert scenario.mc is None
     assert scenario.market.spot_price == 100000.0
     assert scenario.market.tenor_days == 1
-    assert scenario.terms == {"sigma_multiple": 3.0}
+    assert scenario.terms == strike_from_sigma_multiple(scenario.market, 3.0)
 
 
 def test_currency_passthrough():
@@ -212,37 +204,29 @@ def test_load_scenario_missing_file_is_parse_error(tmp_path):
         load_scenario(tmp_path / "nope.json")
 
 
-def test_resolve_strike_both_forms():
+def test_strike_terms_load_as_the_repurchase_price_in_both_forms():
     direct = _general_doc()
     direct["terms"] = {"repurchase_price": 97003.92}
-    assert resolve_strike(parse_scenario(direct)) == 97003.92
+    assert parse_scenario(direct).terms == 97003.92
 
     implied = parse_scenario(_general_doc())
     expected = strike_from_sigma_multiple(implied.market, 3.0)
-    assert resolve_strike(implied) == expected
-
-    with pytest.raises(ValidationError, match="repurchase price"):
-        resolve_strike(parse_scenario(_relations_doc()))
+    assert implied.terms == expected
 
 
-def test_rate_period_conversions_round_trip():
-    market = parse_scenario(_relations_doc()).market  # 30/360
-    assert annual_to_period(0.03, market) == pytest.approx(0.0025, rel=1e-15)
-
-
-def test_relations_from_scenario_converts_rates_to_period():
-    relations = relations_from_scenario(parse_scenario(_relations_doc()))
+def test_relations_terms_load_with_rates_per_period():
+    relations = parse_scenario(_relations_doc()).terms
     assert relations.general_rate == pytest.approx(0.03 * 30 / 360, rel=1e-15)
     assert relations.special_rate == pytest.approx(0.01 * 30 / 360, rel=1e-15)
     assert abs(relations.balance_residual()) <= 1e-12
     relations.validate()
 
 
-def test_relations_from_scenario_accepts_haircut_side():
+def test_relations_terms_accept_haircut_side():
     doc = _relations_doc()
     doc["terms"] = {"general_haircut": 0.02, "general_rate": 0.03,
                     "special_haircut": 0.0}
-    relations = relations_from_scenario(parse_scenario(doc))
+    relations = parse_scenario(doc).terms
     assert relations.special_haircut == 0.0
     assert abs(relations.balance_residual()) <= 1e-12
 
@@ -254,14 +238,8 @@ def test_relations_requires_one_special_side():
         parse_scenario(doc)
 
 
-def test_relations_from_scenario_rejects_other_kinds():
-    with pytest.raises(ValidationError, match="special_relations"):
-        relations_from_scenario(parse_scenario(_general_doc()))
-
-
-def test_dealer_from_scenario_converts_and_passes_through():
-    scenario = parse_scenario(_dealer_doc())
-    dealer = dealer_from_scenario(scenario)
+def test_dealer_terms_load_with_rates_per_period():
+    dealer = parse_scenario(_dealer_doc()).terms
     assert dealer.note_count == 100
     assert dealer.note_spot == 1000.0
     assert dealer.special_rate == pytest.approx(0.01 / 360, rel=1e-15)
@@ -272,7 +250,7 @@ def test_dealer_from_scenario_converts_and_passes_through():
 def test_dealer_fee_max_resolves_to_ceiling():
     doc = _dealer_doc()
     doc["terms"]["fed_fee"] = "max"
-    dealer = dealer_from_scenario(parse_scenario(doc))
+    dealer = parse_scenario(doc).terms
     expected = max_fed_fee(100000.0, 0.0199, 0.03 / 360, 0.01 / 360)
     assert dealer.fed_fee == expected
     assert dealer.fed_fee > 0.0
@@ -290,11 +268,6 @@ def test_dealer_spot_consistency_enforced():
     doc["terms"]["note_spot"] = 999.0  # 100 * 999 != market spot
     with pytest.raises(ValidationError, match="/market/spot_price"):
         parse_scenario(doc)
-
-
-def test_dealer_from_scenario_rejects_other_kinds():
-    with pytest.raises(ValidationError, match="dealer"):
-        dealer_from_scenario(parse_scenario(_general_doc()))
 
 
 def test_packaged_schemas_are_well_formed():
