@@ -339,56 +339,58 @@ def _finite_leaves(value) -> bool:
     "command, base, market, terms, expected, err",
     [
         # forward sd underflows to 0.0: no lender-rate model
-        ("price-general", GENERAL, {"spot_price": 1.0, "volatility": 5e-324},
+        ("price-general", "general_3sigma.json", {"spot_price": 1.0, "volatility": 5e-324},
          {"repurchase_price": 0.97}, 3, "forward standard deviation"),
         # subnormal forward sd, |c| past 1e154: the strike censors every draw,
         # so the quote is the deterministic one (loan = K, repo rate = risk-free)
-        ("price-general", GENERAL, {"volatility": 5e-324}, {"repurchase_price": 97000.0}, 0,
-         None),
+        ("price-general", "general_3sigma.json", {"volatility": 5e-324},
+         {"repurchase_price": 97000.0}, 0, None),
         # most of the Gaussian mass below zero: negative loan
-        ("price-general", GENERAL, {"volatility": 5.0, "tenor_days": 365},
+        ("price-general", "general_3sigma.json", {"volatility": 5.0, "tenor_days": 365},
          {"repurchase_price": 1.0}, 4, "lent amount"),
-        ("price-general", GENERAL, {"volatility": 1e-300}, {"repurchase_price": 99000.0}, 0,
-         None),
+        ("price-general", "general_3sigma.json", {"volatility": 1e-300},
+         {"repurchase_price": 99000.0}, 0, None),
         # vol * sqrt(tenor) underflows: deterministic Black-Scholes branch
-        ("price-special", SPECIAL, {"volatility": 5e-324}, {}, 0, None),
+        ("price-special", "special_lender_fail.json", {"volatility": 5e-324}, {}, 0, None),
         # per-period rates so large that the repayments overflow: refused as out of
         # domain, not reported as a closing leg with NaN slack
-        ("dealer-sim", DEALER_GAIN, {}, {"special_rate": 1e308, "general_rate": 1e308}, 3,
+        ("dealer-sim", "dealer_gain_funded.json", {},
+         {"special_rate": 1e308, "general_rate": 1e308}, 3,
          "ledger amount client_repayment overflows to inf"),
         # haircuts so low that the loans overflow: refused before the fee, which
         # "max" makes inf as well
-        ("dealer-sim", DEALER_MAX, {},
+        ("dealer-sim", "dealer_max_fee.json", {},
          {"special_haircut": -1e308, "general_haircut": -1e308, "fed_fee": 0}, 3,
          "ledger amount client_loan overflows to inf"),
-        ("dealer-sim", DEALER_MAX, {},
+        ("dealer-sim", "dealer_max_fee.json", {},
          {"special_haircut": -1e308, "general_haircut": -1e308, "fed_fee": "max"}, 3,
          "ledger amount client_loan overflows to inf"),
         # e^{-rT} overflows: the Black-Scholes put, and so the loan, is unbounded
-        ("price-special", SPECIAL, {"risk_free_rate": -94.0, "tenor_days": 2719}, {}, 4,
+        ("price-special", "special_lender_fail.json",
+         {"risk_free_rate": -94.0, "tenor_days": 2719}, {}, 4,
          "outputs.quote.lent_amount is inf"),
         # S/K underflows inside ln(S/K): finite premium, unbounded premium rate
-        ("price-special", SPECIAL, {"spot_price": 5e-324, "volatility": 1.0},
+        ("price-special", "special_lender_fail.json", {"spot_price": 5e-324, "volatility": 1.0},
          {"repurchase_price": 2.0}, 4, "outputs.quote.premium_rate is inf"),
         # JSON integers past the float range
-        ("price-general", GENERAL, {"tenor_days": 10**400}, {}, 3,
+        ("price-general", "general_3sigma.json", {"tenor_days": 10**400}, {}, 3,
          "/market/tenor_days: integer beyond the float range"),
-        ("price-general", GENERAL, {"risk_free_rate": -(10**400)}, {}, 3,
+        ("price-general", "general_3sigma.json", {"risk_free_rate": -(10**400)}, {}, 3,
          "/market/risk_free_rate: integer beyond the float range"),
         # rates so large that rounding alone breaks the 1e-10 identity gate:
         # refused as out of domain, not reported as a broken identity
-        ("price-general", GENERAL, {"risk_free_rate": 6077489727937541.0, "tenor_days": 30},
-         {"sigma_multiple": 0}, 4,
+        ("price-general", "general_3sigma.json",
+         {"risk_free_rate": 6077489727937541.0, "tenor_days": 30}, {"sigma_multiple": 0}, 4,
          "per-period lender rate 3.338e+14 is outside the model's domain"),
-        ("price-general", GENERAL, {"intrinsic_yield": -1.99e47, "tenor_days": 30},
-         {"repurchase_price": 1.0}, 4,
+        ("price-general", "general_3sigma.json",
+         {"intrinsic_yield": -1.99e47, "tenor_days": 30}, {"repurchase_price": 1.0}, 4,
          "per-period lender rate -1.658e+46 is outside the model's domain"),
     ],
 )
 def test_degenerate_inputs_fail_typed_or_stay_finite(
     capsys, tmp_path, command, base, market, terms, expected, err
 ):
-    doc = json.loads(Path(base).read_text("utf-8"))
+    doc = json.loads((SCENARIO_DIR / base).read_text("utf-8"))
     doc["market"].update(market)
     doc["terms"].update(terms)
     if "repurchase_price" in terms:
