@@ -17,13 +17,16 @@ the protocol note above.
 
 Scheduling: the chunks run on ``w = min(usable CPUs, chunks)`` worker
 threads (numpy's generator and reductions release the GIL).  Worker ``k``
-runs chunks ``k, k + w, k + 2w, ...`` in place in its own two float64
-buffers of one chunk each (16 MB per worker at ``CHUNK_SIZE``), allocated
-up front by the calling thread, so a chunk allocates no array of its own.
-The buffers live in anonymous memory maps of their own, so their memory
-goes back to the OS when the call returns, whatever the C heap's layout.
-With one worker the chunks run in the calling thread and no pool is
-started.
+runs chunks ``k, k + w, k + 2w, ...`` in place in its own float64 buffer:
+one chunk's values and two scratch blocks of ``BLOCK`` values (~9 MB per
+worker at ``CHUNK_SIZE``), allocated up front by the calling thread, so a
+chunk allocates no array of its own.  The kernel works through a chunk
+block by block, so the arithmetic on a block stays in cache, and adds the
+block sums up numpy's own pairwise summation tree, so the estimates are
+bit-identical to whole-chunk array expressions.  Each buffer lives in an
+anonymous memory map of its own, so its memory goes back to the OS when
+the call returns, whatever the C heap's layout.  With one worker the
+chunks run in the calling thread and no pool is started.
 
 numpy and ``mmap`` are imported by the functions that sample, and
 ``concurrent.futures`` only when a pool is needed, so commands that never
@@ -45,6 +48,11 @@ if TYPE_CHECKING:
     import numpy as np
 
 CHUNK_SIZE = 1_000_000
+
+#: Largest block of a chunk the kernel works through at a time: two float64
+#: scratch blocks of this size (1 MB) stay in L2 cache.  Not part of the
+#: determinism contract; any size gives the same bits.
+BLOCK = 65_536
 
 MODES = ("min", "max", "put-payoff")
 
@@ -79,36 +87,87 @@ def _mapped_buffer(np, count: int) -> np.ndarray:
     return np.frombuffer(mapped, np.float64)
 
 
+def _sum_tree(start: int, stop: int):
+    """numpy's pairwise summation tree over ``[start, stop)``, cut into blocks.
+
+    numpy sums a contiguous float64 array of n > 128 values as the sum of
+    its two halves, the first rounded down to a multiple of 8 values, and
+    so on down.  This returns that tree down to the first nodes of at most
+    ``BLOCK`` values: a leaf is the ``slice`` of its block, a node the pair
+    (left, right).  ``np.add.reduce`` of a leaf's values is that subtree's
+    sum, so ``_fold`` of the leaf sums equals ``np.add.reduce`` of the
+    whole range, bit for bit.
+    """
+    if stop - start <= BLOCK:
+        return slice(start, stop)
+    half = (stop - start) // 2
+    half -= half % 8
+    return (_sum_tree(start, start + half), _sum_tree(start + half, stop))
+
+
+def _blocks(tree) -> list[slice]:
+    """The leaves of a ``_sum_tree``, in order."""
+    if isinstance(tree, slice):
+        return [tree]
+    return _blocks(tree[0]) + _blocks(tree[1])
+
+
+def _fold(tree, sums) -> float:
+    """Add the leaf sums (an iterator, in leaf order) back up ``tree``."""
+    if isinstance(tree, slice):
+        return next(sums)
+    left = _fold(tree[0], sums)
+    return left + _fold(tree[1], sums)
+
+
 def _chunk_moments(mode: str, strike: float, g: GaussianParams,
                    rng: np.random.Generator, x: np.ndarray,
-                   d2: np.ndarray) -> tuple[int, float, float, float, float]:
+                   scratch: np.ndarray) -> tuple[int, float, float, float, float]:
     """(n, mean, M2, M3, M4) of one chunk's payoffs; Mk are sums of centered powers.
 
-    Draws ``x.size`` variates into ``x`` and overwrites ``x`` and ``d2``.
-    Every element and every reduction equals the expression form
-    ``y = payoff(g.mean + g.sd * z)``, ``dev = y - m``, ``d2 = dev * dev``,
-    ``(d2 * dev).sum()``, ``(d2 * d2).sum()``, so results are bit-identical
-    to it.
+    Draws ``x.size`` variates into ``x``, block by block of the chunk's
+    ``_sum_tree``, and overwrites ``x`` and ``scratch``, which needs room
+    for two blocks.  A block stays in cache through the affine map, the
+    payoff and its sum (pass 1), and through ``dev``, ``d2`` and their
+    three sums (pass 2).  Every element equals the expression form
+    ``y = payoff(g.mean + g.sd * z)``, ``m = y.mean()``, ``dev = y - m``,
+    ``d2 = dev * dev``, and ``_fold`` adds the block sums up numpy's own
+    summation tree, so ``m``, ``d2.sum()``, ``(d2 * dev).sum()`` and
+    ``(d2 * d2).sum()`` are bit-identical to it.  The generator carries
+    nothing between calls, so drawing in blocks gives the same variates.
     """
     import numpy as np
 
-    rng.standard_normal(x.size, out=x)
-    x *= g.sd
-    x += g.mean
-    if mode == "min":
-        np.minimum(strike, x, out=x)
-    elif mode == "max":
-        np.maximum(strike, x, out=x)
-    else:
-        np.subtract(strike, x, out=x)
-        np.maximum(x, 0.0, out=x)
-    m = float(x.mean())
-    x -= m
-    np.multiply(x, x, out=d2)
-    m2 = float(d2.sum())
-    x *= d2
-    d2 *= d2
-    return (x.size, m, m2, float(x.sum()), float(d2.sum()))
+    tree = _sum_tree(0, x.size)
+    blocks = _blocks(tree)
+    sums = []
+    for block in blocks:
+        y = x[block]
+        rng.standard_normal(y.size, out=y)
+        y *= g.sd
+        y += g.mean
+        if mode == "min":
+            np.minimum(strike, y, out=y)
+        elif mode == "max":
+            np.maximum(strike, y, out=y)
+        else:
+            np.subtract(strike, y, out=y)
+            np.maximum(y, 0.0, out=y)
+        sums.append(float(np.add.reduce(y)))
+    m = _fold(tree, iter(sums)) / x.size
+    m2s, m3s, m4s = [], [], []
+    for block in blocks:
+        count = block.stop - block.start
+        dev, d2 = scratch[:count], scratch[count:2 * count]
+        np.subtract(x[block], m, out=dev)
+        np.multiply(dev, dev, out=d2)
+        m2s.append(float(np.add.reduce(d2)))
+        dev *= d2
+        m3s.append(float(np.add.reduce(dev)))
+        d2 *= d2
+        m4s.append(float(np.add.reduce(d2)))
+    return (x.size, m, _fold(tree, iter(m2s)), _fold(tree, iter(m3s)),
+            _fold(tree, iter(m4s)))
 
 
 def _merge_moments(a, b):
@@ -152,18 +211,19 @@ def mc_sample_stats(strike: float, g: GaussianParams, n: int, seed: int,
 
     counts = [min(CHUNK_SIZE, n - start) for start in range(0, n, CHUNK_SIZE)]
     workers = min(_usable_cpus(), len(counts))
-    buffers = [(_mapped_buffer(np, counts[0]), _mapped_buffer(np, counts[0]))
+    # a chunk's values, then two scratch blocks
+    buffers = [_mapped_buffer(np, counts[0] + 2 * min(BLOCK, counts[0]))
                for _ in range(workers)]
 
     def lane(k):
-        """Moments of chunks k, k + workers, ... computed in worker k's buffers."""
-        x, d2 = buffers[k]
+        """Moments of chunks k, k + workers, ... computed in worker k's buffer."""
+        x, scratch = buffers[k][:counts[0]], buffers[k][counts[0]:]
         stats = []
         # an overflow reaches the report's finite-output check; no numpy warning on stderr
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(k, len(counts), workers):
                 rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
-                stats.append(_chunk_moments(mode, strike, g, rng, x[:counts[i]], d2[:counts[i]]))
+                stats.append(_chunk_moments(mode, strike, g, rng, x[:counts[i]], scratch))
         return stats
 
     if workers == 1:

@@ -18,9 +18,14 @@ from repo_options import (
     put_payoff_mean,
 )
 from repo_options import montecarlo
-from repo_options.montecarlo import CHUNK_SIZE, MODES, _merge_moments
+from repo_options.montecarlo import BLOCK, CHUNK_SIZE, MODES, _merge_moments
 
 G = GaussianParams(mean=100.0, sd=15.0)
+
+
+def _chunk_rng(seed, chunk_index):
+    """The generator of chunk ``chunk_index`` under the determinism contract."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, chunk_index))))
 
 
 def test_replay_is_bit_identical():
@@ -53,7 +58,7 @@ def test_chunked_merge_matches_single_pass_numpy():
     produced, chunk_index = 0, 0
     while produced < n:
         count = min(CHUNK_SIZE, n - produced)
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, chunk_index))))
+        rng = _chunk_rng(seed, chunk_index)
         parts.append(G.mean + G.sd * rng.standard_normal(count))
         produced += count
         chunk_index += 1
@@ -64,22 +69,27 @@ def test_chunked_merge_matches_single_pass_numpy():
     assert est.sd == pytest.approx(float(y.std(ddof=1)), rel=1e-10)
 
 
-def _expression_form_estimate(strike, g, n, seed, mode):
-    """The estimate rebuilt chunk by chunk with plain array expressions."""
+def _expression_form_moments(mode, strike, g, rng, count):
+    """(n, mean, M2, M3, M4) of one chunk, computed with plain array expressions."""
     payoff = {
         "min": lambda x: np.minimum(strike, x),
         "max": lambda x: np.maximum(strike, x),
         "put-payoff": lambda x: np.maximum(strike - x, 0.0),
     }[mode]
+    y = payoff(g.mean + g.sd * rng.standard_normal(count))
+    m = float(y.mean())
+    dev = y - m
+    d2 = dev * dev
+    return (y.size, m, float(d2.sum()), float((d2 * dev).sum()), float((d2 * d2).sum()))
+
+
+def _expression_form_estimate(strike, g, n, seed, mode):
+    """The estimate rebuilt chunk by chunk with plain array expressions."""
     chunks = []
     for chunk_index, start in enumerate(range(0, n, CHUNK_SIZE)):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, chunk_index))))
-        y = payoff(g.mean + g.sd * rng.standard_normal(min(CHUNK_SIZE, n - start)))
-        m = float(y.mean())
-        dev = y - m
-        d2 = dev * dev
-        chunks.append((y.size, m, float(d2.sum()), float((d2 * dev).sum()),
-                       float((d2 * d2).sum())))
+        rng = _chunk_rng(seed, chunk_index)
+        chunks.append(_expression_form_moments(mode, strike, g, rng,
+                                               min(CHUNK_SIZE, n - start)))
     n_total, mean, m2, _m3, m4 = functools.reduce(_merge_moments, chunks)
     sd = math.sqrt(m2 / (n_total - 1))
     kurtosis = n_total * m4 / (m2 * m2)
@@ -97,6 +107,36 @@ def test_in_place_kernel_is_bit_identical_to_expression_form(mode):
         strike, G, n, seed, mode)
 
 
+# sizes on both sides of numpy's 8-wide unroll, its 128-value pairwise leaf,
+# the kernel's block and the chunk
+@pytest.mark.parametrize("n", [2, 7, 8, 9, 127, 128, 129, BLOCK - 1, BLOCK, BLOCK + 1,
+                               2 * BLOCK + 3, CHUNK_SIZE - 1, CHUNK_SIZE])
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("sigmas", [-0.7, 3.0, -5.0])  # -5: nearly every payoff is equal
+def test_block_kernel_is_bit_identical_to_expression_form_at_tree_boundaries(n, mode, sigmas):
+    strike = G.mean + sigmas * G.sd
+    x, scratch = np.empty(n), np.empty(2 * min(BLOCK, n))
+    got = montecarlo._chunk_moments(mode, strike, G, _chunk_rng(n, 0), x, scratch)
+    assert got == _expression_form_moments(mode, strike, G, _chunk_rng(n, 0), n)
+
+
+def test_block_sums_fold_to_numpys_own_sum():
+    # The kernel's bit identity rests on numpy summing a contiguous float64
+    # array with the pairwise tree that _sum_tree rebuilds.
+    rng = np.random.default_rng(5)
+    sizes = [1, 2, 129, BLOCK - 8, BLOCK + 1, 2 * BLOCK + 3, 4 * BLOCK - 1, 500_017,
+             CHUNK_SIZE - 1, CHUNK_SIZE] + [int(k) for k in rng.integers(BLOCK, CHUNK_SIZE, 20)]
+    for n in sizes:
+        a = rng.standard_normal(n) * np.exp(rng.uniform(-20.0, 20.0, n))
+        tree = montecarlo._sum_tree(0, n)
+        folded = montecarlo._fold(tree, iter([float(np.add.reduce(a[b]))
+                                              for b in montecarlo._blocks(tree)]))
+        assert folded == float(np.add.reduce(a)), (
+            f"numpy {np.__version__} no longer sums {n} float64 values along the pairwise "
+            "tree that montecarlo._sum_tree rebuilds; the oracle's determinism contract "
+            "(version 1) needs the kernel's block sums to match np.add.reduce")
+
+
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("n", [17, CHUNK_SIZE, 3 * CHUNK_SIZE + CHUNK_SIZE // 2])
 def test_worker_count_does_not_change_the_estimate(monkeypatch, mode, n):
@@ -106,7 +146,7 @@ def test_worker_count_does_not_change_the_estimate(monkeypatch, mode, n):
         used = set()
 
         def spy(*args):
-            used.add(args[-1].__array_interface__["data"][0])  # the lane's d2 buffer
+            used.add(args[-1].__array_interface__["data"][0])  # the lane's scratch blocks
             return kernel(*args)
 
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda cpus=cpus: cpus)
@@ -118,6 +158,29 @@ def test_worker_count_does_not_change_the_estimate(monkeypatch, mode, n):
     assert estimates[5] == estimates[1]
     n_chunks = -(-n // CHUNK_SIZE)
     assert buffers == {cpus: min(cpus, n_chunks) for cpus in (1, 2, 3, 5)}
+
+
+def test_five_lanes_under_constant_thread_switching_give_the_same_bits(monkeypatch):
+    # more lanes than CPUs, and the interpreter switches threads as often as it can
+    import sys
+    import threading
+
+    n = 6 * CHUNK_SIZE + 3  # seven chunks: two lanes run two each
+    one_lane = mc_sample_stats(97.0, G, n, 8, "put-payoff")
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 5)
+    five_lanes = []
+    caller = threading.Thread(
+        target=lambda: five_lanes.append(mc_sample_stats(97.0, G, n, 8, "put-payoff")),
+        daemon=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        caller.start()
+        caller.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not caller.is_alive()
+    assert five_lanes == [one_lane]
 
 
 def test_buffers_are_released_when_the_call_returns(monkeypatch):
@@ -133,8 +196,8 @@ def test_buffers_are_released_when_the_call_returns(monkeypatch):
     monkeypatch.setattr(mmap, "mmap", Tracked)
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
     mc_sample_stats(97.0, G, 3 * CHUNK_SIZE, 8, "min")
-    # x and d2 for each of the two lanes, each in a map of its own
-    assert [len(m) for m in maps] == [8 * CHUNK_SIZE] * 4
+    # one map per lane: a chunk's values, then two scratch blocks
+    assert [len(m) for m in maps] == [8 * (CHUNK_SIZE + 2 * BLOCK)] * 2
     for m in maps:
         m.close()  # raises BufferError while any array still uses the map
 
