@@ -18,22 +18,27 @@ dividends, no American exercise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ValidationError
 from .stochastic import std_normal_cdf
 
-@dataclass(frozen=True)
-class BsInputs:
-    """Inputs of the lognormal pricer; tenor in years, rates per annum."""
 
+class _BsFields(NamedTuple):
     spot: float
     strike: float
     rate: float
     vol: float
     tenor: float
 
-    def __post_init__(self):
+
+class BsInputs(_BsFields):
+    """Inputs of the lognormal pricer; tenor in years, rates per annum."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        # the NamedTuple's __new__ has set the fields from the arguments; check them
         if not (math.isfinite(self.spot) and self.spot > 0.0):
             raise ValidationError(f"spot must be > 0, got {self.spot!r}")
         if not (math.isfinite(self.strike) and self.strike > 0.0):

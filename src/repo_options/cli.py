@@ -77,8 +77,13 @@ def _require_kind(scenario: Scenario, *kinds: str) -> None:
         )
 
 
-def _z_score(delta: float, se: float) -> float:
-    return delta / se if se > 0.0 else 0.0
+def _set_z(section: dict, stat: str, delta: float, se: float) -> None:
+    """Set ``z_<stat>`` to delta / se; when se is 0, leave it out and say why in ``z_omitted``."""
+    if se > 0.0:
+        section[f"z_{stat}"] = delta / se
+    else:
+        section.setdefault("z_omitted", {})[f"z_{stat}"] = (
+            f"se_{stat} is 0, so delta_{stat} cannot be measured in standard errors")
 
 
 def _oracle_section(
@@ -114,12 +119,12 @@ def _oracle_section(
         },
         "closed_form": {"mean": closed_mean},
         "delta_mean": closed_mean - est.mean,
-        "z_mean": _z_score(closed_mean - est.mean, est.se_mean),
     }
+    _set_z(section, "mean", closed_mean - est.mean, est.se_mean)
     if closed_sd is not None:
         section["closed_form"]["sd"] = closed_sd
         section["delta_sd"] = closed_sd - est.sd
-        section["z_sd"] = _z_score(closed_sd - est.sd, est.se_sd)
+        _set_z(section, "sd", closed_sd - est.sd, est.se_sd)
     return section
 
 
@@ -142,7 +147,7 @@ def general_report(scenario: Scenario, seed_override: int | None = None) -> dict
         )
     dc, td = market.day_count, market.tenor_days
     quote_out = dict(
-        vars(quote),
+        quote._asdict(),
         repo_rate=rate_per_annum(quote.repo_rate, dc),
         lender_rate=rate_per_annum(quote.lender_rate, dc),
         option_yield=rate_per_period(quote.option_yield, td),
@@ -179,7 +184,7 @@ def special_lender_report(scenario: Scenario, seed_override: int | None = None) 
     outputs = {
         "currency": scenario.currency,
         "quote": dict(
-            vars(quote),
+            quote._asdict(),
             special_rate=rate_per_annum(quote.special_rate, dc),
             trader_return=rate_per_period(quote.trader_return, td),
         ),
@@ -204,7 +209,7 @@ def special_relations_report(scenario: Scenario) -> dict:
     outputs = {
         "currency": scenario.currency,
         "relations": dict(
-            vars(rel),
+            rel._asdict(),
             general_rate=rate_per_period(rel.general_rate, td),
             special_rate=rate_per_period(rel.special_rate, td),
             general_rate_pa=rate_per_annum(rel.general_rate * per_year, dc),
@@ -233,8 +238,8 @@ def dealer_report(scenario: Scenario, strict: bool) -> dict:
             "general_rate": rate_per_period(ds.general_rate, td),
         },
         "steps": state.to_records(),
-        "liquidity": [dict(vars(c)) for c in conditions],
-        "cashflow": dict(vars(cashflow), decomposition_gap=cashflow.decomposition_gap),
+        "liquidity": [c._asdict() for c in conditions],
+        "cashflow": dict(cashflow._asdict(), decomposition_gap=cashflow.decomposition_gap),
     }
     return build_report(command="dealer-sim", inputs=scenario.raw, outputs=outputs)
 
@@ -245,7 +250,7 @@ def reproduce_report(day_count: int, mc: bool, seed: int, n: int) -> dict:
     rows = build_reference_rows(day_count, mc=mc, seed=seed, n=n)
     failures = [row.name for row in rows if not row.within]
     outputs = {
-        "rows": [dict(vars(row), within=row.within) for row in rows],
+        "rows": [dict(row._asdict(), within=row.within) for row in rows],
         "all_within": not failures,
         "failures": failures,
     }

@@ -32,17 +32,15 @@ which is why the leg is assessed as a net.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from .errors import LiquidityError, ValidationError
 
 RELATIVE_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class DealerScenario:
-    """Inputs of one dealer fail scenario; rates are per period."""
-
+class _DealerFields(NamedTuple):
     note_count: int
     note_spot: float
     intermediate_price: float
@@ -52,7 +50,14 @@ class DealerScenario:
     general_haircut: float
     fed_fee: float
 
-    def __post_init__(self):
+
+class DealerScenario(_DealerFields):
+    """Inputs of one dealer fail scenario; rates are per period."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        # the NamedTuple's __new__ has set the fields from the arguments; check them
         if not isinstance(self.note_count, int) or isinstance(self.note_count, bool) \
                 or self.note_count < 1:
             raise ValidationError(f"note_count must be an integer >= 1, "
@@ -105,8 +110,7 @@ class DealerScenario:
         return self.general_lend * (1.0 + self.general_rate)
 
 
-@dataclass(frozen=True)
-class LedgerStep:
+class LedgerStep(NamedTuple):
     """One executed step with deltas and the balances after it."""
 
     step: int
@@ -119,14 +123,14 @@ class LedgerStep:
     collateral: float
 
 
-@dataclass
-class LedgerState:
+class LedgerState(SimpleNamespace):
     """Cash and securities positions plus the ordered step log."""
 
-    cash: float = 0.0
-    specific_notes: int = 0
-    general_collateral: float = 0.0
-    step_log: list[LedgerStep] = field(default_factory=list)
+    def __init__(self, cash: float = 0.0, specific_notes: int = 0,
+                 general_collateral: float = 0.0, step_log: list[LedgerStep] | None = None):
+        super().__init__(cash=cash, specific_notes=specific_notes,
+                         general_collateral=general_collateral,
+                         step_log=[] if step_log is None else step_log)
 
     def apply(self, step: int, label: str, cash_delta: float = 0.0,
               note_delta: int = 0, collateral_delta: float = 0.0) -> None:
@@ -139,11 +143,10 @@ class LedgerState:
             notes=self.specific_notes, collateral=self.general_collateral))
 
     def to_records(self) -> list[dict]:
-        return [dict(vars(entry)) for entry in self.step_log]
+        return [entry._asdict() for entry in self.step_log]
 
 
-@dataclass(frozen=True)
-class LiquidityCondition:
+class LiquidityCondition(NamedTuple):
     """One funding condition with its slack (negative slack = violated)."""
 
     name: str
@@ -152,8 +155,7 @@ class LiquidityCondition:
     enforced: bool
 
 
-@dataclass(frozen=True)
-class CashflowReport:
+class CashflowReport(NamedTuple):
     """Decomposition of the dealer's final cash position.
 
     interest_and_fees = general_lend * general_rate

@@ -21,7 +21,7 @@ Rate conventions, applied uniformly:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .blackscholes import BsInputs, bs_call
 from .errors import PricingError, ValidationError
@@ -30,8 +30,16 @@ from .stochastic import GaussianParams, censored_min_mean, censored_min_sd
 VALID_DAY_COUNTS = (360, 365)
 
 
-@dataclass(frozen=True)
-class MarketParams:
+class _MarketFields(NamedTuple):
+    spot_price: float
+    intrinsic_yield: float
+    volatility: float
+    tenor_days: int
+    risk_free_rate: float
+    day_count: int = 360
+
+
+class MarketParams(_MarketFields):
     """Market state of the collateral over one repo period.
 
     spot_price: current price of the collateral (currency units)
@@ -42,14 +50,10 @@ class MarketParams:
     day_count: days per year for rate scaling (360 or 365)
     """
 
-    spot_price: float
-    intrinsic_yield: float
-    volatility: float
-    tenor_days: int
-    risk_free_rate: float
-    day_count: int = 360
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        # the NamedTuple's __new__ has set the fields from the arguments; check them
         if not (math.isfinite(self.spot_price) and self.spot_price > 0.0):
             raise ValidationError(f"spot_price must be > 0, got {self.spot_price!r}")
         if not math.isfinite(self.intrinsic_yield):
@@ -71,8 +75,7 @@ class MarketParams:
         return self.tenor_days / self.day_count
 
 
-@dataclass(frozen=True)
-class GeneralRepoQuote:
+class GeneralRepoQuote(NamedTuple):
     """Full output of the general-repo pricing pipeline.
 
     Money fields are currency units.  repo_rate and lender_rate are per

@@ -38,8 +38,7 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import PricingError, ValidationError
 from .stochastic import GaussianParams
@@ -57,8 +56,7 @@ BLOCK = 65_536
 MODES = ("min", "max", "put-payoff")
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(NamedTuple):
     """Sample statistics of a simulated payoff, with replay metadata."""
 
     mean: float

@@ -24,7 +24,7 @@ tolerance by design.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .general_repo import (
     MarketParams,
@@ -44,8 +44,7 @@ DEFAULT_MC_SEED = 42
 MC_Z_BOUND = 4.0
 
 
-@dataclass(frozen=True)
-class ReferenceRow:
+class ReferenceRow(NamedTuple):
     """One tracked quantity: recomputed value vs frozen reference."""
 
     name: str

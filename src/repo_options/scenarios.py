@@ -39,11 +39,9 @@ from __future__ import annotations
 import json
 import operator
 import sys
-from dataclasses import dataclass
 from functools import cache
-from importlib import resources
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple
 
 from .dealer import DealerScenario
 from .errors import ParseError, ValidationError
@@ -57,8 +55,7 @@ MARKET_CONSISTENCY_RTOL = 1e-9
 
 @cache
 def _load_packaged_schema(name: str) -> Mapping[str, Any]:
-    text = resources.files("repo_options").joinpath("schemas", name).read_text("utf-8")
-    return json.loads(text)
+    return json.loads((Path(__file__).with_name("schemas") / name).read_text("utf-8"))
 
 
 def scenario_schema() -> Mapping[str, Any]:
@@ -73,16 +70,14 @@ def report_schema() -> Mapping[str, Any]:
     return _load_packaged_schema("report.schema.json")
 
 
-@dataclass(frozen=True)
-class McSettings:
+class McSettings(NamedTuple):
     """Simulation cross-check settings from a scenario's ``mc`` section."""
 
     n: int
     seed: int
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     """A checked scenario: typed market, engine input of its kind (per-period rates),
     optional MC settings, and the decoded document (``raw``) that reports echo."""
 

@@ -25,7 +25,7 @@ rates only; annualize at the reporting layer.  Given consistent inputs:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .blackscholes import BsInputs, bs_put
 from .errors import ValidationError
@@ -35,8 +35,7 @@ from .stochastic import put_payoff_mean
 REGIME_TOLERANCE = 1e-9
 
 
-@dataclass(frozen=True)
-class SpecialLenderQuote:
+class SpecialLenderQuote(NamedTuple):
     """Lender-fail pricing output (premium convention).
 
     premium and put_value_mean are currency units; special_rate is per
@@ -52,8 +51,7 @@ class SpecialLenderQuote:
     trader_return: float
 
 
-@dataclass(frozen=True)
-class SpecialRepoRelations:
+class SpecialRepoRelations(NamedTuple):
     """Consistent (rates, haircuts, fee) tuple in per-period terms.
 
     general_rate, special_rate, general_haircut, special_haircut and

@@ -27,7 +27,7 @@ All functions are pure and safe for unlimited concurrent callers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ValidationError
 
@@ -35,14 +35,18 @@ SQRT_2 = math.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-@dataclass(frozen=True)
-class GaussianParams:
-    """Mean and absolute standard deviation of the forward price."""
-
+class _GaussianFields(NamedTuple):
     mean: float
     sd: float
 
-    def __post_init__(self):
+
+class GaussianParams(_GaussianFields):
+    """Mean and absolute standard deviation of the forward price."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        # the NamedTuple's __new__ has set the fields from the arguments; check them
         if not math.isfinite(self.mean):
             raise ValidationError(f"forward mean must be finite, got {self.mean!r}")
         if not (math.isfinite(self.sd) and self.sd >= 0.0):

@@ -242,6 +242,26 @@ def test_oracle_fourth_moment_underflow_is_typed_error(capsys, tmp_path):
     assert captured.err.startswith("error: oracle payoff sd 2.777e-122 is too small")
 
 
+@pytest.mark.parametrize("sigmas, n, omitted", [(5.0, 1_000_000, ["z_sd"]),
+                                               (8.0, 1_000_000, ["z_sd"]),
+                                               (8.0, 1000, ["z_mean", "z_sd"])])
+def test_oracle_omits_a_z_whose_standard_error_is_zero(capsys, tmp_path, sigmas, n, omitted):
+    # far enough below the forward mean, no sample lands below the strike: every payoff
+    # is the strike, so se_sd is 0, and se_mean too when the sample mean is exact
+    path = _write_scenario(tmp_path, GENERAL_MC, lambda d: d.update(
+        terms={"sigma_multiple": sigmas}, mc={"n": n, "seed": 7}))
+    oracle = _run_json(capsys, ["price-general", path])["oracle"]
+    assert sorted(oracle["z_omitted"]) == omitted
+    for stat in ("mean", "sd"):
+        z = f"z_{stat}"
+        assert (z in oracle) == (z not in omitted) == (oracle["estimate"][f"se_{stat}"] > 0.0)
+        if z in omitted:
+            assert oracle["z_omitted"][z] == (
+                f"se_{stat} is 0, so delta_{stat} cannot be measured in standard errors")
+    assert main(["price-general", path, "--format", "csv"]) == 0
+    assert "oracle.z_sd," not in capsys.readouterr().out
+
+
 _ACCEPTED_KINDS = {
     "price-general": ("general",),
     "price-special": ("special_lender", "special_relations"),
@@ -672,8 +692,8 @@ def loaded(*argv):
             code = main(list(argv))
         if code != 0:
             sys.exit(f"{argv} exited {code}")
-    return sorted(m for m in ("numpy", "jsonschema", "concurrent.futures")
-                  if m in sys.modules)
+    return sorted(m for m in ("numpy", "jsonschema", "concurrent.futures", "dataclasses",
+                              "inspect") if m in sys.modules)
 
 general, general_mc = sys.argv[1:]
 print(json.dumps([
@@ -691,6 +711,8 @@ def test_heavy_imports_load_only_when_used():
 
     ``concurrent.futures`` (which pulls in ``logging``) loads only for an
     oracle run of more than one chunk, so the 1-chunk oracle run leaves it out.
+    ``dataclasses`` never loads: the records are NamedTuples.  Nor does
+    ``inspect`` without numpy (``import numpy`` loads it).
     """
     package_root = str(Path(repo_options.__file__).resolve().parent.parent)
     result = subprocess.run(
@@ -705,4 +727,48 @@ def test_heavy_imports_load_only_when_used():
     assert after_import == []
     assert after_reproduce == []
     assert after_price == []
-    assert after_oracle == ["numpy"]
+    assert [m for m in after_oracle if m != "inspect"] == ["numpy"]
+
+
+#: Every exported class but the errors and the mutable ledger is an immutable record.
+_RECORDS = [name for name in repo_options.__all__
+            if isinstance(getattr(repo_options, name), type) and name != "LedgerState"
+            and not issubclass(getattr(repo_options, name), Exception)]
+
+#: For the records that check their fields: valid fields, another valid value for one
+#: field, and a value the record refuses.
+_CHECKED_RECORDS = {
+    "BsInputs": (dict(spot=100.0, strike=90.0, rate=0.01, vol=0.2, tenor=0.5),
+                 ("tenor", 1.0), ("vol", -0.2)),
+    "DealerScenario": (dict(note_count=10, note_spot=100.0, intermediate_price=99.0,
+                            special_rate=0.001, general_rate=0.002, special_haircut=0.01,
+                            general_haircut=0.02, fed_fee=0.5),
+                       ("fed_fee", 0.25), ("note_count", 0)),
+    "GaussianParams": (dict(mean=1.0, sd=2.0), ("sd", 3.0), ("sd", -1.0)),
+    "MarketParams": (dict(spot_price=100.0, intrinsic_yield=0.03, volatility=0.19,
+                          tenor_days=1, risk_free_rate=0.0, day_count=360),
+                     ("day_count", 365), ("day_count", 364)),
+}
+
+
+@pytest.mark.parametrize("name", _RECORDS)
+def test_exported_record_contract(name):
+    """Each record is immutable, equal by fields and names its fields in its repr; one that
+    checks its fields refuses a bad one when constructed directly."""
+    record = getattr(repo_options, name)
+    if name in _CHECKED_RECORDS:
+        fields, (field, other), bad = _CHECKED_RECORDS[name]
+    else:
+        fields, bad = dict.fromkeys(record._fields, 1.0), None
+        field, other = record._fields[0], 2.0
+    value = record(**fields)
+    assert [getattr(value, f) for f in fields] == list(fields.values())
+    assert value == record(**fields)
+    assert value != record(**{**fields, field: other})
+    for attr in (field, "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(value, attr, other)
+    assert repr(value) == f"{name}({', '.join(f'{f}={v!r}' for f, v in fields.items())})"
+    if bad is not None:
+        with pytest.raises(repo_options.ValidationError):
+            record(**{**fields, bad[0]: bad[1]})

@@ -1,6 +1,5 @@
 """Simulation estimator: determinism, merge correctness, standard errors."""
 
-import dataclasses
 import functools
 import math
 
@@ -31,7 +30,7 @@ def _chunk_rng(seed, chunk_index):
 def test_replay_is_bit_identical():
     a = mc_sample_stats(90.0, G, 250_000, 123, "min")
     b = mc_sample_stats(90.0, G, 250_000, 123, "min")
-    assert a == b  # dataclass equality covers every field exactly
+    assert a == b  # record equality covers every field exactly
     assert (a.mean, a.sd, a.se_mean, a.se_sd) == (b.mean, b.sd, b.se_mean, b.se_sd)
 
 
@@ -258,5 +257,5 @@ def test_validation_rejects_bad_inputs():
 def test_estimate_is_immutable():
     est = mc_sample_stats(90.0, G, 1000, 0, "min")
     assert isinstance(est, McEstimate)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         est.mean = 0.0
