@@ -18,15 +18,16 @@ the protocol note above.
 Scheduling: the chunks run on ``w = min(usable CPUs, chunks)`` worker
 threads (numpy's generator and reductions release the GIL).  Worker ``k``
 runs chunks ``k, k + w, k + 2w, ...`` in place in its own float64 buffer:
-one chunk's values and two scratch blocks of ``BLOCK`` values (~9 MB per
+one chunk's values and one scratch block of ``BLOCK`` values (~8.5 MB per
 worker at ``CHUNK_SIZE``), allocated up front by the calling thread, so a
-chunk allocates no array of its own.  The kernel works through a chunk
-block by block, so the arithmetic on a block stays in cache, and adds the
-block sums up numpy's own pairwise summation tree, so the estimates are
-bit-identical to whole-chunk array expressions.  Each buffer lives in an
-anonymous memory map of its own, so its memory goes back to the OS when
-the call returns, whatever the C heap's layout.  With one worker the
-chunks run in the calling thread and no pool is started.
+chunk allocates no array of its own, and writes each chunk's moments into
+its slot of the ordered list.  The kernel works through a chunk block by
+block, so the arithmetic on a block stays in cache, and adds the block
+sums up numpy's own pairwise summation tree (``_pairwise``), so the
+estimates are bit-identical to whole-chunk array expressions.  Each buffer
+lives in an anonymous memory map of its own, so its memory goes back to
+the OS when the call returns, whatever the C heap's layout.  With one
+worker the chunks run in the calling thread and no pool is started.
 
 numpy and ``mmap`` are imported by the functions that sample, and
 ``concurrent.futures`` only when a pool is needed, so commands that never
@@ -48,9 +49,9 @@ if TYPE_CHECKING:
 
 CHUNK_SIZE = 1_000_000
 
-#: Largest block of a chunk the kernel works through at a time: two float64
-#: scratch blocks of this size (1 MB) stay in L2 cache.  Not part of the
-#: determinism contract; any size gives the same bits.
+#: Largest block of a chunk the kernel works through at a time: a block of
+#: the chunk and one float64 scratch block of this size (1 MB) stay in L2
+#: cache.  Not part of the determinism contract; any size gives the same bits.
 BLOCK = 65_536
 
 MODES = ("min", "max", "put-payoff")
@@ -85,37 +86,23 @@ def _mapped_buffer(np, count: int) -> np.ndarray:
     return np.frombuffer(mapped, np.float64)
 
 
-def _sum_tree(start: int, stop: int):
-    """numpy's pairwise summation tree over ``[start, stop)``, cut into blocks.
+def _pairwise(start: int, stop: int, leaf):
+    """Sum ``leaf(block)`` over ``[start, stop)`` along numpy's pairwise tree.
 
     numpy sums a contiguous float64 array of n > 128 values as the sum of
     its two halves, the first rounded down to a multiple of 8 values, and
-    so on down.  This returns that tree down to the first nodes of at most
-    ``BLOCK`` values: a leaf is the ``slice`` of its block, a node the pair
-    (left, right).  ``np.add.reduce`` of a leaf's values is that subtree's
-    sum, so ``_fold`` of the leaf sums equals ``np.add.reduce`` of the
-    whole range, bit for bit.
+    so on down.  This splits ``[start, stop)`` the same way down to blocks
+    of at most ``BLOCK`` values, calls ``leaf`` on each block's ``slice``
+    from left to right, and adds the results back up the tree.  When
+    ``leaf`` returns ``np.add.reduce`` of its block's values, the result
+    equals ``np.add.reduce`` of the whole range, bit for bit.
     """
     if stop - start <= BLOCK:
-        return slice(start, stop)
+        return leaf(slice(start, stop))
     half = (stop - start) // 2
     half -= half % 8
-    return (_sum_tree(start, start + half), _sum_tree(start + half, stop))
-
-
-def _blocks(tree) -> list[slice]:
-    """The leaves of a ``_sum_tree``, in order."""
-    if isinstance(tree, slice):
-        return [tree]
-    return _blocks(tree[0]) + _blocks(tree[1])
-
-
-def _fold(tree, sums) -> float:
-    """Add the leaf sums (an iterator, in leaf order) back up ``tree``."""
-    if isinstance(tree, slice):
-        return next(sums)
-    left = _fold(tree[0], sums)
-    return left + _fold(tree[1], sums)
+    left = _pairwise(start, start + half, leaf)
+    return left + _pairwise(start + half, stop, leaf)
 
 
 def _chunk_moments(mode: str, strike: float, g: GaussianParams,
@@ -123,23 +110,21 @@ def _chunk_moments(mode: str, strike: float, g: GaussianParams,
                    scratch: np.ndarray) -> tuple[int, float, float, float, float]:
     """(n, mean, M2, M3, M4) of one chunk's payoffs; Mk are sums of centered powers.
 
-    Draws ``x.size`` variates into ``x``, block by block of the chunk's
-    ``_sum_tree``, and overwrites ``x`` and ``scratch``, which needs room
-    for two blocks.  A block stays in cache through the affine map, the
-    payoff and its sum (pass 1), and through ``dev``, ``d2`` and their
-    three sums (pass 2).  Every element equals the expression form
-    ``y = payoff(g.mean + g.sd * z)``, ``m = y.mean()``, ``dev = y - m``,
-    ``d2 = dev * dev``, and ``_fold`` adds the block sums up numpy's own
-    summation tree, so ``m``, ``d2.sum()``, ``(d2 * dev).sum()`` and
-    ``(d2 * d2).sum()`` are bit-identical to it.  The generator carries
-    nothing between calls, so drawing in blocks gives the same variates.
+    Draws ``x.size`` variates into ``x``, block by block in ``_pairwise``
+    order, and overwrites ``x`` and ``scratch``, which needs room for one
+    block.  A block stays in cache through the affine map, the payoff and
+    its sum (pass 1), and through ``dev`` (centred in place in ``x``),
+    ``d2`` and their three sums (pass 2).  Every element equals the
+    expression form ``y = payoff(g.mean + g.sd * z)``, ``m = y.mean()``,
+    ``dev = y - m``, ``d2 = dev * dev``, and ``_pairwise`` adds the block
+    sums up numpy's own summation tree, so ``m``, ``d2.sum()``,
+    ``(d2 * dev).sum()`` and ``(d2 * d2).sum()`` are bit-identical to it.
+    The generator carries nothing between calls, so drawing in blocks gives
+    the same variates.
     """
     import numpy as np
 
-    tree = _sum_tree(0, x.size)
-    blocks = _blocks(tree)
-    sums = []
-    for block in blocks:
+    def payoff_sum(block):
         y = x[block]
         rng.standard_normal(y.size, out=y)
         y *= g.sd
@@ -151,21 +136,23 @@ def _chunk_moments(mode: str, strike: float, g: GaussianParams,
         else:
             np.subtract(strike, y, out=y)
             np.maximum(y, 0.0, out=y)
-        sums.append(float(np.add.reduce(y)))
-    m = _fold(tree, iter(sums)) / x.size
-    m2s, m3s, m4s = [], [], []
-    for block in blocks:
-        count = block.stop - block.start
-        dev, d2 = scratch[:count], scratch[count:2 * count]
-        np.subtract(x[block], m, out=dev)
+        return float(np.add.reduce(y))
+
+    m = _pairwise(0, x.size, payoff_sum) / x.size
+
+    def centred_sums(block):
+        dev = x[block]
+        dev -= m
+        d2 = scratch[:dev.size]
         np.multiply(dev, dev, out=d2)
-        m2s.append(float(np.add.reduce(d2)))
+        m2 = np.add.reduce(d2)
         dev *= d2
-        m3s.append(float(np.add.reduce(dev)))
+        m3 = np.add.reduce(dev)
         d2 *= d2
-        m4s.append(float(np.add.reduce(d2)))
-    return (x.size, m, _fold(tree, iter(m2s)), _fold(tree, iter(m3s)),
-            _fold(tree, iter(m4s)))
+        return np.array([m2, m3, np.add.reduce(d2)])  # adds elementwise, as three floats would
+
+    m2, m3, m4 = _pairwise(0, x.size, centred_sums).tolist()
+    return (x.size, m, m2, m3, m4)
 
 
 def _merge_moments(a, b):
@@ -209,31 +196,26 @@ def mc_sample_stats(strike: float, g: GaussianParams, n: int, seed: int,
 
     counts = [min(CHUNK_SIZE, n - start) for start in range(0, n, CHUNK_SIZE)]
     workers = min(_usable_cpus(), len(counts))
-    # a chunk's values, then two scratch blocks
-    buffers = [_mapped_buffer(np, counts[0] + 2 * min(BLOCK, counts[0]))
-               for _ in range(workers)]
+    # a chunk's values, then one scratch block
+    buffers = [_mapped_buffer(np, counts[0] + min(BLOCK, counts[0])) for _ in range(workers)]
+    chunks = [None] * len(counts)
 
     def lane(k):
         """Moments of chunks k, k + workers, ... computed in worker k's buffer."""
         x, scratch = buffers[k][:counts[0]], buffers[k][counts[0]:]
-        stats = []
         # an overflow reaches the report's finite-output check; no numpy warning on stderr
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(k, len(counts), workers):
                 rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
-                stats.append(_chunk_moments(mode, strike, g, rng, x[:counts[i]], scratch))
-        return stats
+                chunks[i] = _chunk_moments(mode, strike, g, rng, x[:counts[i]], scratch)
 
     if workers == 1:
-        lanes = [lane(0)]
+        lane(0)
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(workers) as pool:
-            lanes = list(pool.map(lane, range(workers)))
-    chunks = [None] * len(counts)
-    for k, stats in enumerate(lanes):
-        chunks[k::workers] = stats
+            list(pool.map(lane, range(workers)))  # re-raises a lane's exception
 
     n_total, mean, m2, _m3, m4 = functools.reduce(_merge_moments, chunks)
     if m2 <= 0.0:

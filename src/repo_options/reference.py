@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .errors import PricingError
 from .general_repo import (
     MarketParams,
     bs_haircut,
@@ -141,6 +142,9 @@ def build_reference_rows(
         )
         for name, closed, strike, offset, mode in checks:
             est = mc_sample_stats(strike, forward, n, seed + offset, mode)
+            if est.se_mean == 0.0:
+                raise PricingError(f"{name}: the {n} simulated payoffs have sample sd 0, so "
+                                   "the estimate has no standard error; use more samples")
             rows.append(
                 ReferenceRow(
                     name, (closed - est.mean) / est.se_mean, 0.0, MC_Z_BOUND, "standard_errors"

@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 
 import repo_options
 from repo_options.cli import main
+from repo_options.errors import PricingError
 from repo_options.montecarlo import CHUNK_SIZE
+from repo_options.reference import build_reference_rows
 from repo_options.scenarios import validate_scenario_data
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -178,6 +180,12 @@ def test_reproduce_examples_day_count_365_fails_tolerances(capsys):
     doc = json.loads(captured.out)
     assert doc["outputs"]["all_within"] is False
     assert doc["outputs"]["failures"]
+
+
+def test_reproduce_rows_with_too_few_samples_fail_typed():
+    # n=10 at the 3-sigma strike: every draw is censored, so se_mean is 0
+    with pytest.raises(PricingError, match=r"case1_revenue_mean_mc_z: the 10 simulated"):
+        build_reference_rows(mc=True, n=10)
 
 
 def test_compare_bs_rows(capsys):

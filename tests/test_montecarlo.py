@@ -114,25 +114,23 @@ def test_in_place_kernel_is_bit_identical_to_expression_form(mode):
 @pytest.mark.parametrize("sigmas", [-0.7, 3.0, -5.0])  # -5: nearly every payoff is equal
 def test_block_kernel_is_bit_identical_to_expression_form_at_tree_boundaries(n, mode, sigmas):
     strike = G.mean + sigmas * G.sd
-    x, scratch = np.empty(n), np.empty(2 * min(BLOCK, n))
+    x, scratch = np.empty(n), np.empty(min(BLOCK, n))
     got = montecarlo._chunk_moments(mode, strike, G, _chunk_rng(n, 0), x, scratch)
     assert got == _expression_form_moments(mode, strike, G, _chunk_rng(n, 0), n)
 
 
 def test_block_sums_fold_to_numpys_own_sum():
     # The kernel's bit identity rests on numpy summing a contiguous float64
-    # array with the pairwise tree that _sum_tree rebuilds.
+    # array with the pairwise tree that _pairwise rebuilds.
     rng = np.random.default_rng(5)
     sizes = [1, 2, 129, BLOCK - 8, BLOCK + 1, 2 * BLOCK + 3, 4 * BLOCK - 1, 500_017,
              CHUNK_SIZE - 1, CHUNK_SIZE] + [int(k) for k in rng.integers(BLOCK, CHUNK_SIZE, 20)]
     for n in sizes:
         a = rng.standard_normal(n) * np.exp(rng.uniform(-20.0, 20.0, n))
-        tree = montecarlo._sum_tree(0, n)
-        folded = montecarlo._fold(tree, iter([float(np.add.reduce(a[b]))
-                                              for b in montecarlo._blocks(tree)]))
-        assert folded == float(np.add.reduce(a)), (
+        folded = montecarlo._pairwise(0, n, lambda b: np.add.reduce(a[b]))
+        assert folded == np.add.reduce(a), (
             f"numpy {np.__version__} no longer sums {n} float64 values along the pairwise "
-            "tree that montecarlo._sum_tree rebuilds; the oracle's determinism contract "
+            "tree that montecarlo._pairwise rebuilds; the oracle's determinism contract "
             "(version 1) needs the kernel's block sums to match np.add.reduce")
 
 
@@ -145,7 +143,7 @@ def test_worker_count_does_not_change_the_estimate(monkeypatch, mode, n):
         used = set()
 
         def spy(*args):
-            used.add(args[-1].__array_interface__["data"][0])  # the lane's scratch blocks
+            used.add(args[-1].__array_interface__["data"][0])  # the lane's scratch block
             return kernel(*args)
 
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda cpus=cpus: cpus)
@@ -195,10 +193,35 @@ def test_buffers_are_released_when_the_call_returns(monkeypatch):
     monkeypatch.setattr(mmap, "mmap", Tracked)
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
     mc_sample_stats(97.0, G, 3 * CHUNK_SIZE, 8, "min")
-    # one map per lane: a chunk's values, then two scratch blocks
-    assert [len(m) for m in maps] == [8 * (CHUNK_SIZE + 2 * BLOCK)] * 2
+    # one map per lane: a chunk's values, then one scratch block
+    assert [len(m) for m in maps] == [8 * (CHUNK_SIZE + BLOCK)] * 2
     for m in maps:
         m.close()  # raises BufferError while any array still uses the map
+
+
+def test_a_workers_exception_reaches_the_caller(monkeypatch):
+    # lanes return nothing, so only collecting pool.map's results re-raises this
+    kernel = montecarlo._chunk_moments
+
+    def failing(mode, strike, g, rng, x, scratch):
+        if x.size == 7:
+            raise RuntimeError("last chunk failed")
+        return kernel(mode, strike, g, rng, x, scratch)
+
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(montecarlo, "_chunk_moments", failing)
+    with pytest.raises(RuntimeError, match="last chunk failed"):
+        mc_sample_stats(97.0, G, 3 * CHUNK_SIZE + 7, 8, "min")
+
+
+def test_plain_map_fallback_gives_the_same_estimate(monkeypatch):
+    # platforms without MADV_HUGEPAGE (macOS, Windows) take the plain anonymous map
+    import mmap
+
+    n = 2 * CHUNK_SIZE + 3
+    default = mc_sample_stats(97.0, G, n, 8, "put-payoff")
+    monkeypatch.delattr(mmap, "MADV_HUGEPAGE")
+    assert mc_sample_stats(97.0, G, n, 8, "put-payoff") == default
 
 
 def test_chunk_boundary_sizes_change_results_continuously():
