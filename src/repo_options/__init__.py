@@ -30,7 +30,7 @@ from .blackscholes import BsInputs, bs_call, bs_put
 from .dealer import (
     CashflowReport,
     DealerScenario,
-    LedgerState,
+    LedgerStep,
     LiquidityCondition,
     check_liquidity,
     run_dealer_scenario,
@@ -80,7 +80,7 @@ __all__ = [
     "bs_put",
     "CashflowReport",
     "DealerScenario",
-    "LedgerState",
+    "LedgerStep",
     "LiquidityCondition",
     "check_liquidity",
     "run_dealer_scenario",

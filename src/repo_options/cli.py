@@ -25,8 +25,9 @@ Global flags: ``--format json|csv|table`` (default table), ``--seed``
 (simulation seed override; also enables the oracle section on pricing
 commands), ``--out PATH``.
 
-Exit codes: 0 success, 2 parse error, 3 validation error, 4 pricing or
-tolerance failure, 5 liquidity failure.
+Exit codes: 0 success, 2 parse error (including an output file that
+cannot be written), 3 validation error, 4 pricing or tolerance failure,
+5 liquidity failure.
 """
 
 from __future__ import annotations
@@ -42,16 +43,13 @@ from .errors import (
     EXIT_PARSE,
     EXIT_PRICING,
     ParseError,
-    PricingError,
     RepoOptionsError,
-    ToleranceError,
     ValidationError,
 )
 from .general_repo import (
     bs_haircut,
     forward_gaussian,
     haircut_identity_residual,
-    haircut_identity_terms,
     lender_rate_from_bs,
     price_general_repo,
 )
@@ -60,9 +58,6 @@ from .reference import DEFAULT_MC_N, DEFAULT_MC_SEED, build_reference_rows
 from .reports import FORMATS, build_report, rate_per_annum, rate_per_period, render
 from .scenarios import Scenario, load_scenario
 from .special_repo import classify_regime, price_lender_fail
-
-#: Identity residual beyond this is a computation fault, not rounding.
-IDENTITY_TOLERANCE = 1e-10
 
 #: Oracle sample size when --seed is given without an mc section.
 DEFAULT_ORACLE_N = 1_000_000
@@ -134,17 +129,6 @@ def general_report(scenario: Scenario, seed_override: int | None = None) -> dict
     market, strike = scenario.market, scenario.terms
     quote = price_general_repo(market, strike)
     benchmark = bs_haircut(market, strike)
-    residual = haircut_identity_residual(quote, market)
-    if not abs(residual) <= IDENTITY_TOLERANCE:
-        name, term = max(haircut_identity_terms(quote, market).items(), key=lambda t: abs(t[1]))
-        if abs(term) * sys.float_info.epsilon > IDENTITY_TOLERANCE:
-            raise PricingError(
-                f"per-period {name} {term:.3e} is outside the model's domain: rounding "
-                f"at that size alone exceeds the {IDENTITY_TOLERANCE:.0e} identity tolerance"
-            )
-        raise ToleranceError(
-            f"haircut identity residual {residual:.3e} exceeds {IDENTITY_TOLERANCE:.0e}"
-        )
     dc, td = market.day_count, market.tenor_days
     quote_out = dict(
         quote._asdict(),
@@ -159,9 +143,9 @@ def general_report(scenario: Scenario, seed_override: int | None = None) -> dict
         "benchmark": {
             "bs_haircut": benchmark,
             "haircut_gap": quote.haircut - benchmark,
-            "lender_rate_bs": rate_per_annum(lender_rate_from_bs(market, strike), dc),
+            "lender_rate_bs": rate_per_annum(lender_rate_from_bs(market, quote, benchmark), dc),
         },
-        "identity_residual": residual,
+        "identity_residual": haircut_identity_residual(quote, market),
     }
     oracle = _oracle_section(
         "min", strike, scenario, seed_override, quote.revenue_mean, quote.revenue_sd_abs
@@ -226,7 +210,7 @@ def dealer_report(scenario: Scenario, strict: bool) -> dict:
     """Report document for a ``dealer`` scenario (raises on liquidity failure)."""
 
     ds = scenario.terms
-    state, cashflow = run_dealer_scenario(ds, strict)
+    steps, cashflow = run_dealer_scenario(ds, strict)
     conditions = check_liquidity(ds, strict)
     td = scenario.market.tenor_days
     outputs = {
@@ -237,7 +221,7 @@ def dealer_report(scenario: Scenario, strict: bool) -> dict:
             "special_rate": rate_per_period(ds.special_rate, td),
             "general_rate": rate_per_period(ds.general_rate, td),
         },
-        "steps": state.to_records(),
+        "steps": [step._asdict() for step in steps],
         "liquidity": [c._asdict() for c in conditions],
         "cashflow": dict(cashflow._asdict(), decomposition_gap=cashflow.decomposition_gap),
     }
@@ -416,7 +400,10 @@ def main(argv: list[str] | None = None) -> int:
         doc = _report(args)
         text = render(doc, args.format)
         if args.out:
-            Path(args.out).write_text(text, "utf-8")
+            try:
+                Path(args.out).write_text(text, "utf-8")
+            except OSError as exc:
+                raise ParseError(f"cannot write output file {args.out}: {exc}") from exc
         else:
             sys.stdout.write(text)
     except RepoOptionsError as exc:

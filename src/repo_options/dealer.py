@@ -6,7 +6,9 @@ and later repurchases the notes, and unwinds everything at the closing
 leg.  One period, per-period rates, a single scenario-supplied
 intermediate price (no path model).
 
-Steps, executed strictly in order:
+Steps, one table of (step, label, cash, note and collateral deltas) rows
+that `run_dealer_scenario` walks strictly in order; the step log it
+returns is the ledger, each LedgerStep carrying the balances after it:
 
 1. receive client cash: loan = spot_value * (1 - special_haircut)
 2. lend cash against general collateral: pay spot_value * (1 - general_haircut)
@@ -32,7 +34,6 @@ which is why the leg is assessed as a net.
 from __future__ import annotations
 
 import math
-from types import SimpleNamespace
 from typing import NamedTuple
 
 from .errors import LiquidityError, ValidationError
@@ -123,29 +124,6 @@ class LedgerStep(NamedTuple):
     collateral: float
 
 
-class LedgerState(SimpleNamespace):
-    """Cash and securities positions plus the ordered step log."""
-
-    def __init__(self, cash: float = 0.0, specific_notes: int = 0,
-                 general_collateral: float = 0.0, step_log: list[LedgerStep] | None = None):
-        super().__init__(cash=cash, specific_notes=specific_notes,
-                         general_collateral=general_collateral,
-                         step_log=[] if step_log is None else step_log)
-
-    def apply(self, step: int, label: str, cash_delta: float = 0.0,
-              note_delta: int = 0, collateral_delta: float = 0.0) -> None:
-        self.cash += cash_delta
-        self.specific_notes += note_delta
-        self.general_collateral += collateral_delta
-        self.step_log.append(LedgerStep(
-            step=step, label=label, cash_delta=cash_delta, note_delta=note_delta,
-            collateral_delta=collateral_delta, cash=self.cash,
-            notes=self.specific_notes, collateral=self.general_collateral))
-
-    def to_records(self) -> list[dict]:
-        return [entry._asdict() for entry in self.step_log]
-
-
 class LiquidityCondition(NamedTuple):
     """One funding condition with its slack (negative slack = violated)."""
 
@@ -197,67 +175,62 @@ def check_liquidity(s: DealerScenario, strict: bool = True) -> list[LiquidityCon
     slack may legitimately fund a price above the starting spot).
     """
     tolerance = RELATIVE_TOLERANCE * s.spot_value
-    enforced = {
-        "fee_funding": True,
-        "note_repurchase": False,
-        "closing_strict": strict,
-        "closing_weak": not strict,
-    }
+    enforced = ("fee_funding", "closing_strict" if strict else "closing_weak")
     return [LiquidityCondition(name=name, slack=slack,
-                               satisfied=slack >= -tolerance, enforced=enforced[name])
+                               satisfied=slack >= -tolerance, enforced=name in enforced)
             for name, slack in _conditions(s).items()]
 
 
 def run_dealer_scenario(s: DealerScenario,
-                        strict: bool = True) -> tuple[LedgerState, CashflowReport]:
+                        strict: bool = True) -> tuple[list[LedgerStep], CashflowReport]:
     """Execute the nine steps, enforcing the funding discipline.
 
-    Raises LiquidityError naming the first unfundable step: steps 1-6 if
-    the running cash balance would go negative, step 7 if the applicable
-    closing condition fails.  strict=True (default) requires the carry
-    alone to cover the closing leg; strict=False also counts the realized
-    trading gain.
+    Returns the step log, one LedgerStep per step, and the cash
+    decomposition.  Raises LiquidityError naming the first unfundable
+    step: steps 1-6 if the running cash balance would go negative, step 7
+    if the applicable closing condition fails.  strict=True (default)
+    requires the carry alone to cover the closing leg; strict=False also
+    counts the realized trading gain.
     """
     tolerance = RELATIVE_TOLERANCE * s.spot_value
     conditions = _conditions(s)
-    state = LedgerState()
-
-    opening = [
-        (1, "receive client loan against promised specific notes",
-         dict(cash_delta=s.client_loan)),
-        (2, "lend cash against general collateral",
-         dict(cash_delta=-s.general_lend, collateral_delta=s.spot_value)),
-        (3, "borrow specific notes at the auction, pledge collateral, pay fee",
-         dict(cash_delta=-s.fed_fee, note_delta=s.note_count,
-              collateral_delta=-s.spot_value)),
-        (4, "sell specific notes at the starting spot price",
-         dict(cash_delta=s.spot_value, note_delta=-s.note_count)),
-        (5, "repurchase specific notes at the intermediate price",
-         dict(cash_delta=-s.intermediate_value, note_delta=s.note_count)),
-        (6, "deliver specific notes to the client", dict(note_delta=-s.note_count)),
-    ]
-    for step, label, deltas in opening:
-        state.apply(step, label, **deltas)
-        if not state.cash >= -tolerance:
-            raise LiquidityError(
-                f"step {step} ({label}) would drive cash to {state.cash:.6g}",
-                step=step, condition="running_balance", slack=state.cash)
-
     closing_name = "closing_strict" if strict else "closing_weak"
     closing_slack = conditions[closing_name]
-    if not closing_slack >= -tolerance:
-        raise LiquidityError(
-            f"closing leg underfunded: {closing_name} slack {closing_slack:.6g}",
-            step=7, condition=closing_name, slack=closing_slack)
+    n, spot = s.note_count, s.spot_value
+    # (step, label, cash_delta, note_delta, collateral_delta)
+    table = (
+        (1, "receive client loan against promised specific notes", s.client_loan, 0, 0.0),
+        (2, "lend cash against general collateral", -s.general_lend, 0, spot),
+        (3, "borrow specific notes at the auction, pledge collateral, pay fee",
+         -s.fed_fee, n, -spot),
+        (4, "sell specific notes at the starting spot price", spot, -n, 0.0),
+        (5, "repurchase specific notes at the intermediate price",
+         -s.intermediate_value, n, 0.0),
+        (6, "deliver specific notes to the client", 0.0, -n, 0.0),
+        (7, "closing leg: receive notes back, repay client loan with interest",
+         -s.client_repayment, n, 0.0),
+        (8, "closing leg: return notes to the auction, recover collateral", 0.0, -n, spot),
+        (9, "closing leg: collect general loan repayment, release collateral",
+         s.general_repayment, 0, -spot),
+    )
+    cash, notes, collateral = 0.0, 0, 0.0
+    steps = []
+    for step, label, cash_delta, note_delta, collateral_delta in table:
+        if step == 7 and not closing_slack >= -tolerance:
+            raise LiquidityError(
+                f"closing leg underfunded: {closing_name} slack {closing_slack:.6g}",
+                step=7, condition=closing_name, slack=closing_slack)
+        cash += cash_delta
+        notes += note_delta
+        collateral += collateral_delta
+        steps.append(LedgerStep(step, label, cash_delta, note_delta, collateral_delta,
+                                cash, notes, collateral))
+        if step <= 6 and not cash >= -tolerance:
+            raise LiquidityError(
+                f"step {step} ({label}) would drive cash to {cash:.6g}",
+                step=step, condition="running_balance", slack=cash)
 
-    state.apply(7, "closing leg: receive notes back, repay client loan with interest",
-                cash_delta=-s.client_repayment, note_delta=s.note_count)
-    state.apply(8, "closing leg: return notes to the auction, recover collateral",
-                note_delta=-s.note_count, collateral_delta=s.spot_value)
-    state.apply(9, "closing leg: collect general loan repayment, release collateral",
-                cash_delta=s.general_repayment, collateral_delta=-s.spot_value)
-
-    return state, CashflowReport(interest_and_fees=conditions["closing_strict"],
+    return steps, CashflowReport(interest_and_fees=conditions["closing_strict"],
                                  speculative=conditions["note_repurchase"],
                                  total=conditions["closing_weak"],
-                                 ledger_cash=state.cash)
+                                 ledger_cash=cash)

@@ -2,7 +2,7 @@
 
 Exit code map (used by the CLI):
     0  success
-    2  parse error (unreadable file, malformed JSON)
+    2  parse error (unreadable file, malformed JSON, unwritable output file)
     3  validation error (schema violation, bad input values)
     4  pricing, tolerance or identity failure
     5  liquidity failure in the dealer ledger
@@ -22,7 +22,8 @@ class RepoOptionsError(Exception):
 
 
 class ParseError(RepoOptionsError):
-    """Input file could not be read or is not well-formed JSON."""
+    """Input file could not be read or is not well-formed JSON, or the output
+    file could not be written."""
 
     exit_code = EXIT_PARSE
 

@@ -21,13 +21,17 @@ Rate conventions, applied uniformly:
 from __future__ import annotations
 
 import math
+import sys
 from typing import NamedTuple
 
 from .blackscholes import BsInputs, bs_call
-from .errors import PricingError, ValidationError
+from .errors import PricingError, ToleranceError, ValidationError
 from .stochastic import GaussianParams, censored_min_mean, censored_min_sd
 
 VALID_DAY_COUNTS = (360, 365)
+
+#: Identity residual beyond this is a computation fault, not rounding.
+IDENTITY_TOLERANCE = 1e-10
 
 
 class _MarketFields(NamedTuple):
@@ -128,7 +132,9 @@ def price_general_repo(m: MarketParams, repurchase_price: float) -> GeneralRepoQ
 
     Pipeline: forward Gaussian -> censored revenue moments ->
     variance-scaled lender rate -> per-period discounting of the mean revenue -> haircut,
-    repo rate and implicit-call yield.
+    repo rate and implicit-call yield -> haircut identity check.  A residual beyond
+    IDENTITY_TOLERANCE raises PricingError when one per-period rate is so large that
+    rounding alone explains it, ToleranceError otherwise.
     """
     if not (math.isfinite(repurchase_price) and repurchase_price > 0.0):
         raise ValidationError(f"repurchase_price must be finite and > 0, got {repurchase_price!r}")
@@ -162,7 +168,7 @@ def price_general_repo(m: MarketParams, repurchase_price: float) -> GeneralRepoQ
     option_value_mean = g.mean - revenue_mean
     option_yield_pp = option_value_mean / haircut - 1.0
 
-    return GeneralRepoQuote(
+    quote = GeneralRepoQuote(
         repurchase_price=repurchase_price,
         lent_amount=lent_amount,
         haircut=haircut,
@@ -176,6 +182,18 @@ def price_general_repo(m: MarketParams, repurchase_price: float) -> GeneralRepoQ
         option_yield=option_yield_pp,
         forward_mean=g.mean,
     )
+    residual = haircut_identity_residual(quote, m)
+    if not abs(residual) <= IDENTITY_TOLERANCE:
+        name, term = max(haircut_identity_terms(quote, m).items(), key=lambda t: abs(t[1]))
+        if abs(term) * sys.float_info.epsilon > IDENTITY_TOLERANCE:
+            raise PricingError(
+                f"per-period {name} {term:.3e} is outside the model's domain: rounding "
+                f"at that size alone exceeds the {IDENTITY_TOLERANCE:.0e} identity tolerance"
+            )
+        raise ToleranceError(
+            f"haircut identity residual {residual:.3e} exceeds {IDENTITY_TOLERANCE:.0e}"
+        )
+    return quote
 
 
 def bs_haircut(m: MarketParams, repurchase_price: float) -> float:
@@ -185,19 +203,18 @@ def bs_haircut(m: MarketParams, repurchase_price: float) -> float:
                             tenor=m.period_years))
 
 
-def lender_rate_from_bs(m: MarketParams, repurchase_price: float) -> float:
+def lender_rate_from_bs(m: MarketParams, quote: GeneralRepoQuote, benchmark: float) -> float:
     """Lender rate implied by discounting with the Black-Scholes haircut.
 
-    rate_pp = revenue_mean / (spot - bs_haircut) - 1, annualized.  Can be
-    slightly negative when the benchmark haircut exceeds the pipeline's;
-    reported as computed, no clamping.
+    rate_pp = revenue_mean / (spot - bs_haircut) - 1, annualized, from a
+    quote and its `bs_haircut` benchmark at the same repurchase price.
+    Can be slightly negative when the benchmark haircut exceeds the
+    pipeline's; reported as computed, no clamping.
     """
-    benchmark = bs_haircut(m, repurchase_price)
     if benchmark >= m.spot_price:
         raise PricingError(f"benchmark haircut {benchmark:.6g} >= spot "
                            f"{m.spot_price:.6g}: implied loan is non-positive")
-    revenue_mean = censored_min_mean(repurchase_price, forward_gaussian(m))
-    rate_pp = revenue_mean / (m.spot_price - benchmark) - 1.0
+    rate_pp = quote.revenue_mean / (m.spot_price - benchmark) - 1.0
     return rate_pp / m.period_years
 
 
@@ -215,6 +232,6 @@ def haircut_identity_residual(q: GeneralRepoQuote, m: MarketParams) -> float:
     is exactly zero in real arithmetic for any quote built from the
     definitions; the residual measures floating-point noise only.
     """
-    terms = haircut_identity_terms(q, m)
-    lender_pp = terms["lender rate"]
-    return q.haircut_rate * (q.option_yield - lender_pp) - (terms["intrinsic yield"] - lender_pp)
+    lender_pp = q.revenue_mean / q.lent_amount - 1.0
+    intrinsic_pp = q.forward_mean / m.spot_price - 1.0
+    return q.haircut_rate * (q.option_yield - lender_pp) - (intrinsic_pp - lender_pp)

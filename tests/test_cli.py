@@ -74,6 +74,16 @@ def test_out_file_matches_stdout(capsys, tmp_path):
     assert target.read_text("utf-8") == capsys.readouterr().out
 
 
+def test_unwritable_out_file_is_exit_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    assert main(["price-general", GENERAL, "--format", "json", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write output file {target}: ")
+    assert captured.err.count("\n") == 1
+    assert not target.parent.exists()
+
+
 def test_csv_and_table_formats(capsys):
     assert main(["price-general", GENERAL, "--format", "csv"]) == 0
     csv_text = capsys.readouterr().out
@@ -228,6 +238,21 @@ def test_compare_bs_checks_the_files_own_terms(capsys, tmp_path):
     message = "sigma multiple 1000000.0 places the repurchase price at -1.00137e+09 <= 0"
     for argv in (["price-general", path], ["compare-bs", path, "--strikes", "97003.92"]):
         assert main([*argv, "--format", "json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
+def test_compare_bs_checks_the_haircut_identity_as_price_general_does(capsys, tmp_path):
+    # a rate so large that rounding alone breaks the identity gate, on every general path
+    def edit(doc):
+        doc["market"].update(intrinsic_yield=-1.99e47, tenor_days=30)
+        doc["terms"] = {"repurchase_price": 1.0}
+    path = _write_scenario(tmp_path, GENERAL, edit)
+    message = ("per-period lender rate -1.658e+46 is outside the model's domain: rounding "
+               "at that size alone exceeds the 1e-10 identity tolerance")
+    for argv in (["price-general", path], ["compare-bs", path, "--strikes", "1.0"]):
+        assert main([*argv, "--format", "json"]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
@@ -738,9 +763,9 @@ def test_heavy_imports_load_only_when_used():
     assert [m for m in after_oracle if m != "inspect"] == ["numpy"]
 
 
-#: Every exported class but the errors and the mutable ledger is an immutable record.
+#: Every exported class but the errors is an immutable record.
 _RECORDS = [name for name in repo_options.__all__
-            if isinstance(getattr(repo_options, name), type) and name != "LedgerState"
+            if isinstance(getattr(repo_options, name), type)
             and not issubclass(getattr(repo_options, name), Exception)]
 
 #: For the records that check their fields: valid fields, another valid value for one

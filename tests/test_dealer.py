@@ -46,18 +46,28 @@ def _max_fee_scenario(g_cut=0.02, g_rate=2e-4, s_rate=1e-4, spot=1000.0, count=1
 
 
 def test_runs_all_nine_steps_in_order():
-    state, _ = run_dealer_scenario(_scenario())
-    assert [entry.step for entry in state.step_log] == list(range(1, 10))
+    steps, _ = run_dealer_scenario(_scenario())
+    assert [entry.step for entry in steps] == list(range(1, 10))
+    # the opening leg ends with the notes delivered, the closing leg with nothing held
+    assert [entry.notes for entry in steps] == [0, 0, 100, 0, 100, 0, 100, 0, 0]
 
 
 def test_ledger_conservation():
-    state, report = run_dealer_scenario(_scenario(intermediate_price=998.0, fed_fee=1.0))
-    assert sum(e.cash_delta for e in state.step_log) == pytest.approx(state.cash, abs=1e-9)
-    assert sum(e.note_delta for e in state.step_log) == 0
-    assert sum(e.collateral_delta for e in state.step_log) == pytest.approx(0.0, abs=1e-9)
-    assert state.specific_notes == 0
-    assert state.general_collateral == pytest.approx(0.0, abs=1e-9)
-    assert report.ledger_cash == state.cash
+    steps, report = run_dealer_scenario(_scenario(intermediate_price=998.0, fed_fee=1.0))
+    final = steps[-1]
+    assert sum(e.cash_delta for e in steps) == pytest.approx(final.cash, abs=1e-9)
+    assert sum(e.note_delta for e in steps) == 0
+    assert sum(e.collateral_delta for e in steps) == pytest.approx(0.0, abs=1e-9)
+    assert final.notes == 0
+    assert final.collateral == pytest.approx(0.0, abs=1e-9)
+    assert report.ledger_cash == final.cash
+    # each step's balances are the previous step's plus its deltas, bit for bit
+    previous = (0.0, 0, 0.0)
+    for e in steps:
+        expected = (previous[0] + e.cash_delta, previous[1] + e.note_delta,
+                    previous[2] + e.collateral_delta)
+        assert (e.cash, e.notes, e.collateral) == expected
+        previous = expected
 
 
 def test_max_fee_scenario_zero_slacks_and_zero_total():
@@ -120,12 +130,13 @@ def test_decomposition_matches_ledger_randomized():
             fed_fee=float(rng.uniform(0.0, max(fee_cap, 0.0))),
         )
         try:
-            state, report = run_dealer_scenario(s, strict=False)
+            steps, report = run_dealer_scenario(s, strict=False)
         except LiquidityError:
             continue  # unfundable draws are rejected, not mis-decomposed
         checked += 1
         assert abs(report.decomposition_gap) <= 1e-9 * s.spot_value
-        assert report.ledger_cash == state.cash
+        assert report.ledger_cash == steps[-1].cash
+        assert steps[-1].notes == 0
         # the report and the liquidity gates state one carry, to the bit
         slack = {c.name: c.slack for c in check_liquidity(s, strict=False)}
         assert report.interest_and_fees == slack["closing_strict"]
@@ -207,8 +218,8 @@ def test_note_repurchase_condition_tracks_price_gap():
 
 
 def test_records_are_json_ready():
-    state, _ = run_dealer_scenario(_scenario())
-    for record in state.to_records():
+    steps, _ = run_dealer_scenario(_scenario())
+    for record in (step._asdict() for step in steps):
         assert set(record) == {
             "step",
             "label",
@@ -220,6 +231,9 @@ def test_records_are_json_ready():
             "collateral",
         }
         assert isinstance(record["label"], str)
+        assert type(record["note_delta"]) is int and type(record["notes"]) is int
+        assert type(record["cash_delta"]) is float
+        assert type(record["collateral_delta"]) is float
 
 
 def test_scenario_validation():

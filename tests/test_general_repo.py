@@ -8,10 +8,12 @@ import pytest
 from repo_options import (
     MarketParams,
     PricingError,
+    ToleranceError,
     ValidationError,
     bs_haircut,
     censored_min_mean,
     forward_gaussian,
+    general_repo,
     haircut_identity_residual,
     lender_rate_from_bs,
     price_general_repo,
@@ -81,12 +83,14 @@ def test_bs_benchmark_frozen():
 
 def test_lender_rate_from_bs_frozen():
     # discounting with the benchmark haircut implies a slightly negative rate
-    assert lender_rate_from_bs(
-        MARKET, strike_from_sigma_multiple(MARKET, 3.0)
-    ) == pytest.approx(-1.952121416660887e-04, rel=1e-9)
-    assert lender_rate_from_bs(
-        MARKET, strike_from_sigma_multiple(MARKET, 2.0)
-    ) == pytest.approx(-0.0012778082354205541, rel=1e-9)
+    for k, frozen in ((3.0, -1.952121416660887e-04), (2.0, -0.0012778082354205541)):
+        strike = strike_from_sigma_multiple(MARKET, k)
+        benchmark = bs_haircut(MARKET, strike)
+        rate = lender_rate_from_bs(MARKET, price_general_repo(MARKET, strike), benchmark)
+        assert rate == pytest.approx(frozen, rel=1e-9)
+        # the quote's revenue mean is the censored mean the rate discounts
+        revenue_mean = censored_min_mean(strike, forward_gaussian(MARKET))
+        assert rate == (revenue_mean / (MARKET.spot_price - benchmark) - 1.0) / MARKET.period_years
 
 
 def test_revenue_moments_come_from_the_toolkit():
@@ -129,6 +133,18 @@ def test_identity_residual_on_example_quotes():
     for k in (2.0, 3.0):
         quote = price_general_repo(MARKET, strike_from_sigma_multiple(MARKET, k))
         assert abs(haircut_identity_residual(quote, MARKET)) <= 1e-10
+
+
+def test_pricing_checks_the_haircut_identity(monkeypatch):
+    # per-period rates so large that rounding alone exceeds the gate: out of domain
+    huge = MarketParams(spot_price=100000.0, intrinsic_yield=-1.99e47, volatility=0.19,
+                        tenor_days=30, risk_free_rate=0.0, day_count=360)
+    with pytest.raises(PricingError, match="per-period lender rate -1.658e[+]46 is outside"):
+        price_general_repo(huge, 1.0)
+    # a residual that rounding cannot explain is a computation fault
+    monkeypatch.setattr(general_repo, "haircut_identity_residual", lambda q, m: 1.0)
+    with pytest.raises(ToleranceError, match="haircut identity residual 1.000e[+]00 exceeds 1e-10"):
+        price_general_repo(MARKET, strike_from_sigma_multiple(MARKET, 3.0))
 
 
 def _random_market(rng) -> MarketParams:
