@@ -26,7 +26,7 @@ Subpackage map:
 
 __version__ = "0.1.0"
 
-from .blackscholes import BsInputs, bs_call, bs_put
+from .blackscholes import BsInputs, bs_call, bs_prices, bs_put
 from .dealer import (
     CashflowReport,
     DealerScenario,
@@ -47,9 +47,11 @@ from .general_repo import (
     GeneralRepoQuote,
     MarketParams,
     bs_haircut,
+    bs_haircut_ladder,
     forward_gaussian,
     haircut_identity_residual,
     lender_rate_from_bs,
+    price_general_ladder,
     price_general_repo,
     strike_from_sigma_multiple,
 )
@@ -77,6 +79,7 @@ __all__ = [
     "__version__",
     "BsInputs",
     "bs_call",
+    "bs_prices",
     "bs_put",
     "CashflowReport",
     "DealerScenario",
@@ -93,9 +96,11 @@ __all__ = [
     "GeneralRepoQuote",
     "MarketParams",
     "bs_haircut",
+    "bs_haircut_ladder",
     "forward_gaussian",
     "haircut_identity_residual",
     "lender_rate_from_bs",
+    "price_general_ladder",
     "price_general_repo",
     "strike_from_sigma_multiple",
     "McEstimate",

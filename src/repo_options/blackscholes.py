@@ -12,12 +12,15 @@ When vol sqrt(T) is 0 (vol = 0, or a vol so small that the product
 underflows) both prices collapse to their deterministic discounted
 intrinsic values.  So do they when K e^{-rT} overflows (a rate below
 about -709 / T): the call is then worth 0 and the put is unbounded.  No
-dividends, no American exercise.
+dividends, no American exercise.  `bs_prices` prices a ladder of strikes with
+e^{-rT}, vol sqrt(T) and (r + vol^2/2) T computed once; `bs_call` and `bs_put`
+are its ladders of one.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from typing import NamedTuple
 
 from .errors import ValidationError
@@ -51,38 +54,42 @@ class BsInputs(_BsFields):
             raise ValidationError(f"tenor must be > 0 years, got {self.tenor!r}")
 
 
-def _discounted_strike(b: BsInputs) -> float:
-    """K e^{-rT}; inf once e^{-rT} overflows (a rate below about -709 / T)."""
+def bs_prices(b: BsInputs, strikes: Iterable[float], put: bool = False) -> list[float]:
+    """Call (or put) prices at each strike, at the spot, rate, vol and tenor of `b`.
+
+    Each strike is checked as BsInputs checks its own.
+    """
     try:
-        return b.strike * math.exp(-b.rate * b.tenor)
-    except OverflowError:
-        return math.inf
-
-
-def _d1_d2(b: BsInputs, srt: float) -> tuple[float, float]:
-    ratio = b.spot / b.strike
-    # ln(S/K) as the difference of logs only where S/K under- or overflows
-    log_moneyness = (math.log(ratio) if 0.0 < ratio < math.inf
-                     else math.log(b.spot) - math.log(b.strike))
-    d1 = (log_moneyness + (b.rate + 0.5 * b.vol * b.vol) * b.tenor) / srt
-    return d1, d1 - srt
+        discount = math.exp(-b.rate * b.tenor)
+    except OverflowError:  # a rate below about -709 / T
+        discount = math.inf
+    srt = b.vol * math.sqrt(b.tenor)
+    drift = (b.rate + 0.5 * b.vol * b.vol) * b.tenor
+    spot, prices = b.spot, []
+    for strike in strikes:
+        if not (math.isfinite(strike) and strike > 0.0):
+            raise ValidationError(f"strike must be > 0, got {strike!r}")
+        discounted_strike = strike * discount
+        if srt == 0.0 or discounted_strike == math.inf:
+            prices.append(max(discounted_strike - spot if put else spot - discounted_strike, 0.0))
+            continue
+        ratio = spot / strike
+        # ln(S/K) as the difference of logs only where S/K under- or overflows
+        log_moneyness = (math.log(ratio) if 0.0 < ratio < math.inf
+                         else math.log(spot) - math.log(strike))
+        d1 = (log_moneyness + drift) / srt
+        d2 = d1 - srt
+        prices.append(max(discounted_strike * std_normal_cdf(-d2) - spot * std_normal_cdf(-d1)
+                          if put else
+                          spot * std_normal_cdf(d1) - discounted_strike * std_normal_cdf(d2), 0.0))
+    return prices
 
 
 def bs_call(b: BsInputs) -> float:
-    """European call price; max(S - K e^{-rT}, 0) when vol * sqrt(T) = 0 or K e^{-rT} = inf."""
-    discounted_strike = _discounted_strike(b)
-    srt = b.vol * math.sqrt(b.tenor)
-    if srt == 0.0 or discounted_strike == math.inf:
-        return max(b.spot - discounted_strike, 0.0)
-    d1, d2 = _d1_d2(b, srt)
-    return max(b.spot * std_normal_cdf(d1) - discounted_strike * std_normal_cdf(d2), 0.0)
+    """European call price at b.strike."""
+    return bs_prices(b, (b.strike,))[0]
 
 
 def bs_put(b: BsInputs) -> float:
-    """European put price; max(K e^{-rT} - S, 0) when vol * sqrt(T) = 0 or K e^{-rT} = inf."""
-    discounted_strike = _discounted_strike(b)
-    srt = b.vol * math.sqrt(b.tenor)
-    if srt == 0.0 or discounted_strike == math.inf:
-        return max(discounted_strike - b.spot, 0.0)
-    d1, d2 = _d1_d2(b, srt)
-    return max(discounted_strike * std_normal_cdf(-d2) - b.spot * std_normal_cdf(-d1), 0.0)
+    """European put price at b.strike."""
+    return bs_prices(b, (b.strike,), put=True)[0]

@@ -48,9 +48,11 @@ from .errors import (
 )
 from .general_repo import (
     bs_haircut,
+    bs_haircut_ladder,
     forward_gaussian,
     haircut_identity_residual,
     lender_rate_from_bs,
+    price_general_ladder,
     price_general_repo,
 )
 from .montecarlo import mc_sample_stats
@@ -251,18 +253,13 @@ def compare_bs_report(scenario: Scenario, strikes: list[float]) -> dict:
     """Report document for ``compare-bs``: haircut vs benchmark per strike."""
 
     market = scenario.market
-    rows = []
-    for strike in strikes:
-        quote = price_general_repo(market, strike)
-        benchmark = bs_haircut(market, strike)
-        rows.append(
-            {
-                "strike": strike,
-                "haircut": quote.haircut,
-                "bs_haircut": benchmark,
-                "gap": quote.haircut - benchmark,
-            }
-        )
+    # every strike the pipeline accepts is a valid Black-Scholes strike, so pricing
+    # the whole pipeline ladder first refuses the same strike, with the same error
+    quotes = price_general_ladder(market, strikes)
+    rows = [
+        {"strike": strike, "haircut": q.haircut, "bs_haircut": bs, "gap": q.haircut - bs}
+        for strike, q, bs in zip(strikes, quotes, bs_haircut_ladder(market, strikes))
+    ]
     outputs = {"currency": scenario.currency, "rows": rows}
     return build_report(command="compare-bs", inputs=scenario.raw, outputs=outputs)
 

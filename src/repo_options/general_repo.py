@@ -16,15 +16,20 @@ Rate conventions, applied uniformly:
   rates convert by that factor (simple scaling, no compounding).
 * The haircut identity residual uses per-period rates only; mixing in
   annualized rates breaks the exact algebra.
+
+A ladder of repurchase prices (`price_general_ladder`, `bs_haircut_ladder`)
+computes the market's terms once and gives each strike all of its own checks,
+in order; a single quote is the ladder of one.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterable, Sequence
 from typing import NamedTuple
 
-from .blackscholes import BsInputs, bs_call
+from .blackscholes import BsInputs, bs_call, bs_prices
 from .errors import PricingError, ToleranceError, ValidationError
 from .stochastic import GaussianParams, censored_min_mean, censored_min_sd
 
@@ -127,80 +132,90 @@ def strike_from_sigma_multiple(m: MarketParams, k: float) -> float:
     return strike
 
 
-def price_general_repo(m: MarketParams, repurchase_price: float) -> GeneralRepoQuote:
-    """Price the general repo and its implicit call for one period.
+def price_general_ladder(m: MarketParams, strikes: Iterable[float]) -> list[GeneralRepoQuote]:
+    """Price the general repo and its implicit call for one period at each repurchase price.
 
-    Pipeline: forward Gaussian -> censored revenue moments ->
-    variance-scaled lender rate -> per-period discounting of the mean revenue -> haircut,
-    repo rate and implicit-call yield -> haircut identity check.  A residual beyond
-    IDENTITY_TOLERANCE raises PricingError when one per-period rate is so large that
-    rounding alone explains it, ToleranceError otherwise.
+    Forward Gaussian (once, after the first strike's check) -> censored revenue moments
+    -> variance-scaled lender rate -> per-period discounting of the mean revenue ->
+    haircut, repo rate and implicit-call yield -> haircut identity check.  A residual
+    beyond IDENTITY_TOLERANCE raises PricingError when one per-period rate is so large
+    that rounding alone explains it, ToleranceError otherwise.  The first refused
+    strike raises what it raises alone, before any later strike is priced.
     """
-    if not (math.isfinite(repurchase_price) and repurchase_price > 0.0):
-        raise ValidationError(f"repurchase_price must be finite and > 0, got {repurchase_price!r}")
-    g = forward_gaussian(m)
-    if g.sd == 0.0:
-        cause = ("volatility must be > 0" if m.volatility == 0.0 else
-                 f"the forward standard deviation spot * volatility * sqrt(tenor) "
-                 f"underflows to 0 (volatility {m.volatility!r})")
-        raise ValidationError(f"{cause}: the censored-to-uncensored variance ratio of "
-                              "the lender-rate model is undefined for a deterministic "
-                              "forward price")
-    t = m.period_years
+    quotes = []
+    for repurchase_price in strikes:
+        if not (math.isfinite(repurchase_price) and repurchase_price > 0.0):
+            raise ValidationError(
+                f"repurchase_price must be finite and > 0, got {repurchase_price!r}")
+        if not quotes:
+            g = forward_gaussian(m)
+            if g.sd == 0.0:
+                cause = ("volatility must be > 0" if m.volatility == 0.0 else
+                         f"the forward standard deviation spot * volatility * sqrt(tenor) "
+                         f"underflows to 0 (volatility {m.volatility!r})")
+                raise ValidationError(f"{cause}: the censored-to-uncensored variance ratio "
+                                      "of the lender-rate model is undefined for a "
+                                      "deterministic forward price")
+            spot, t = m.spot_price, m.period_years
+            excess_rate = m.intrinsic_yield - m.risk_free_rate
 
-    revenue_mean = censored_min_mean(repurchase_price, g)
-    revenue_sd_abs = censored_min_sd(repurchase_price, g)
-    # both vols per-period and spot-relative, so the ratio is scale-free
-    ratio = revenue_sd_abs / g.sd
-    lender_rate_pa = m.risk_free_rate + (m.intrinsic_yield - m.risk_free_rate) * ratio * ratio
+        revenue_mean = censored_min_mean(repurchase_price, g)
+        revenue_sd_abs = censored_min_sd(repurchase_price, g)
+        # both vols per-period and spot-relative, so the ratio is scale-free
+        ratio = revenue_sd_abs / g.sd
+        lender_rate_pa = m.risk_free_rate + excess_rate * ratio * ratio
 
-    lent_amount = revenue_mean / (1.0 + lender_rate_pa * t)
-    if not lent_amount > 0.0:
-        raise PricingError(f"lent amount {lent_amount:.6g} is not positive: the "
-                           "Gaussian forward model cannot price this loan")
-    haircut = m.spot_price - lent_amount
-    if haircut <= 0.0:
-        raise PricingError(f"non-positive haircut {haircut:.6g}: repurchase price "
-                           f"{repurchase_price:.6g} sits too far above the forward mean "
-                           "for the implicit-call interpretation")
+        lent_amount = revenue_mean / (1.0 + lender_rate_pa * t)
+        if not lent_amount > 0.0:
+            raise PricingError(f"lent amount {lent_amount:.6g} is not positive: the "
+                               "Gaussian forward model cannot price this loan")
+        haircut = spot - lent_amount
+        if haircut <= 0.0:
+            raise PricingError(f"non-positive haircut {haircut:.6g}: repurchase price "
+                               f"{repurchase_price:.6g} sits too far above the forward "
+                               "mean for the implicit-call interpretation")
 
-    repo_rate_pa = (repurchase_price / lent_amount - 1.0) / t
-    option_value_mean = g.mean - revenue_mean
-    option_yield_pp = option_value_mean / haircut - 1.0
-
-    quote = GeneralRepoQuote(
-        repurchase_price=repurchase_price,
-        lent_amount=lent_amount,
-        haircut=haircut,
-        haircut_rate=haircut / m.spot_price,
-        repo_rate=repo_rate_pa,
-        lender_rate=lender_rate_pa,
-        revenue_mean=revenue_mean,
-        revenue_sd=revenue_sd_abs / m.spot_price,
-        revenue_sd_abs=revenue_sd_abs,
-        option_value_mean=option_value_mean,
-        option_yield=option_yield_pp,
-        forward_mean=g.mean,
-    )
-    residual = haircut_identity_residual(quote, m)
-    if not abs(residual) <= IDENTITY_TOLERANCE:
-        name, term = max(haircut_identity_terms(quote, m).items(), key=lambda t: abs(t[1]))
-        if abs(term) * sys.float_info.epsilon > IDENTITY_TOLERANCE:
-            raise PricingError(
-                f"per-period {name} {term:.3e} is outside the model's domain: rounding "
-                f"at that size alone exceeds the {IDENTITY_TOLERANCE:.0e} identity tolerance"
+        repo_rate_pa = (repurchase_price / lent_amount - 1.0) / t
+        option_value_mean = g.mean - revenue_mean
+        option_yield_pp = option_value_mean / haircut - 1.0
+        # positional, in field order: keywords cost ~1 us a quote
+        quote = GeneralRepoQuote(repurchase_price, lent_amount, haircut, haircut / spot,
+                                 repo_rate_pa, lender_rate_pa, revenue_mean,
+                                 revenue_sd_abs / spot, revenue_sd_abs, option_value_mean,
+                                 option_yield_pp, g.mean)
+        residual = haircut_identity_residual(quote, m)
+        if not abs(residual) <= IDENTITY_TOLERANCE:
+            name, term = max(haircut_identity_terms(quote, m).items(), key=lambda item: abs(item[1]))
+            if abs(term) * sys.float_info.epsilon > IDENTITY_TOLERANCE:
+                raise PricingError(
+                    f"per-period {name} {term:.3e} is outside the model's domain: rounding "
+                    f"at that size alone exceeds the {IDENTITY_TOLERANCE:.0e} identity tolerance"
+                )
+            raise ToleranceError(
+                f"haircut identity residual {residual:.3e} exceeds {IDENTITY_TOLERANCE:.0e}"
             )
-        raise ToleranceError(
-            f"haircut identity residual {residual:.3e} exceeds {IDENTITY_TOLERANCE:.0e}"
-        )
-    return quote
+        quotes.append(quote)
+    return quotes
+
+
+def price_general_repo(m: MarketParams, repurchase_price: float) -> GeneralRepoQuote:
+    """Price the general repo and its implicit call for one period: the ladder of one."""
+    return price_general_ladder(m, (repurchase_price,))[0]
+
+
+def _bs_inputs(m: MarketParams, strike: float) -> BsInputs:
+    return BsInputs(spot=m.spot_price, strike=strike, rate=m.risk_free_rate,
+                    vol=m.volatility, tenor=m.period_years)
 
 
 def bs_haircut(m: MarketParams, repurchase_price: float) -> float:
     """Black-Scholes benchmark for the haircut: a call struck at the repurchase price."""
-    return bs_call(BsInputs(spot=m.spot_price, strike=repurchase_price,
-                            rate=m.risk_free_rate, vol=m.volatility,
-                            tenor=m.period_years))
+    return bs_call(_bs_inputs(m, repurchase_price))
+
+
+def bs_haircut_ladder(m: MarketParams, strikes: Sequence[float]) -> list[float]:
+    """`bs_haircut` at each repurchase price; the market fields are checked once."""
+    return bs_prices(_bs_inputs(m, strikes[0]), strikes) if strikes else []
 
 
 def lender_rate_from_bs(m: MarketParams, quote: GeneralRepoQuote, benchmark: float) -> float:

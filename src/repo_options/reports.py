@@ -30,8 +30,6 @@ compounding basis.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from collections.abc import Callable, Mapping
 from math import isfinite
@@ -250,14 +248,21 @@ def _cell(path: str, value: Any, none: str, number: Callable[[float], str]) -> s
     return str(value)
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer(lineterminator="\\n")`` writes it: quoted, with ``"``
+    doubled, when it holds ``,``, ``"`` or ``\\n``; ``\\r`` alone is not quoted."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def to_csv(doc: Mapping[str, Any]) -> str:
     """Render a report as sorted ``field,value`` rows at full precision."""
 
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["field", "value"])
-    writer.writerows([(path, _cell(path, value, "", repr)) for path, value in _rows(doc)])
-    return buffer.getvalue()
+    lines = ["field,value"]
+    lines += [f"{_csv_field(path)},{_csv_field(_cell(path, value, '', repr))}"
+              for path, value in _rows(doc)]
+    return "\n".join(lines) + "\n"
 
 
 def to_table(doc: Mapping[str, Any]) -> str:

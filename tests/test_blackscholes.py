@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate
 from scipy import stats
 
-from repo_options import BsInputs, ValidationError, bs_call, bs_put
+from repo_options import BsInputs, ValidationError, bs_call, bs_prices, bs_put
 
 # Worked-example market: one-day tenor on a 360-day year.
 EXAMPLE = dict(spot=100000.0, rate=0.0, vol=0.19, tenor=1.0 / 360.0)
@@ -149,3 +149,20 @@ def test_validation_rejects_bad_inputs():
     ]:
         with pytest.raises(ValidationError):
             BsInputs(**{**good, field: bad})
+
+
+@pytest.mark.parametrize("market", [
+    dict(spot=100.0, rate=0.03, vol=0.25, tenor=0.5),
+    dict(spot=100.0, rate=0.05, vol=0.0, tenor=1.0),  # deterministic
+    dict(spot=1e5, rate=-94.0, vol=0.19, tenor=30.0 / 360.0),  # e^{-rT} overflows
+    dict(spot=5e-324, rate=0.0, vol=1.0, tenor=1.0 / 360.0),  # S/K underflows
+])
+def test_a_ladder_prices_each_strike_as_alone(market):
+    strikes = [1e-300, 0.5, 2.0, 80.0, 100.0, 120.0, 1e5, 1e300]
+    b = BsInputs(strike=strikes[0], **market)
+    for put, alone in ((False, bs_call), (True, bs_put)):
+        ladder = bs_prices(b, strikes, put)
+        assert [p.hex() for p in ladder] == [
+            alone(BsInputs(strike=k, **market)).hex() for k in strikes]
+    with pytest.raises(ValidationError, match="strike must be > 0, got inf"):
+        bs_prices(b, [100.0, math.inf])

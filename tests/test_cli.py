@@ -726,13 +726,20 @@ def loaded(*argv):
         if code != 0:
             sys.exit(f"{argv} exited {code}")
     return sorted(m for m in ("numpy", "jsonschema", "concurrent.futures", "dataclasses",
-                              "inspect") if m in sys.modules)
+                              "inspect", "csv") if m in sys.modules)
 
-general, general_mc = sys.argv[1:]
+general, general_mc, special, relations, dealer = sys.argv[1:]
 print(json.dumps([
     loaded(),
-    loaded("reproduce-examples"),
+    loaded("reproduce-examples", "--format", "csv"),
     loaded("price-general", general, "--format", "json"),
+    [loaded(*argv) for argv in (
+        ("price-general", general, "--format", "csv"),
+        ("compare-bs", general, "--strikes", "95000,99000", "--format", "csv"),
+        ("price-special", special, "--format", "csv"),
+        ("price-special", relations, "--format", "csv"),
+        ("dealer-sim", dealer, "--format", "csv"),
+    )],
     loaded("price-general", general_mc, "--format", "json"),
 ]))
 """
@@ -745,21 +752,24 @@ def test_heavy_imports_load_only_when_used():
     ``concurrent.futures`` (which pulls in ``logging``) loads only for an
     oracle run of more than one chunk, so the 1-chunk oracle run leaves it out.
     ``dataclasses`` never loads: the records are NamedTuples.  Nor does
-    ``inspect`` without numpy (``import numpy`` loads it).
+    ``inspect`` without numpy (``import numpy`` loads it).  ``csv`` never loads:
+    the CSV renderer quotes its fields itself, so no command pays for the module.
     """
     package_root = str(Path(repo_options.__file__).resolve().parent.parent)
     result = subprocess.run(
-        [sys.executable, "-c", _HEAVY_IMPORT_PROBE, GENERAL, GENERAL_MC],
+        [sys.executable, "-c", _HEAVY_IMPORT_PROBE, GENERAL, GENERAL_MC, SPECIAL, RELATIONS,
+         DEALER_MAX],
         capture_output=True,
         text=True,
         timeout=120,
         env={**os.environ, "PYTHONPATH": package_root},
     )
     assert result.returncode == 0, result.stderr
-    after_import, after_reproduce, after_price, after_oracle = json.loads(result.stdout)
+    after_import, after_reproduce, after_price, after_csv, after_oracle = json.loads(result.stdout)
     assert after_import == []
     assert after_reproduce == []
     assert after_price == []
+    assert after_csv == [[]] * 5
     assert [m for m in after_oracle if m != "inspect"] == ["numpy"]
 
 

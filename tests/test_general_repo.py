@@ -1,24 +1,33 @@
 """General-repo pricing pipeline: frozen values, identities, properties."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repo_options import (
     MarketParams,
     PricingError,
+    RepoOptionsError,
+    Scenario,
     ToleranceError,
     ValidationError,
     bs_haircut,
+    bs_haircut_ladder,
     censored_min_mean,
     forward_gaussian,
     general_repo,
     haircut_identity_residual,
     lender_rate_from_bs,
+    price_general_ladder,
     price_general_repo,
     strike_from_sigma_multiple,
 )
+from repo_options.cli import compare_bs_report
+from repo_options.scenarios import load_scenario
 
 MARKET = MarketParams(
     spot_price=100000.0,
@@ -302,3 +311,194 @@ def test_period_years():
         day_count=365,
     )
     assert m365.period_years == pytest.approx(7.0 / 365.0, rel=1e-15)
+
+
+# --- strike ladders ---
+
+#: float.hex of (haircut, bs_haircut, gap) of each row of ``compare-bs`` on
+#: scenarios/general_3sigma.json at strikes 94000 + 100 i, i < 64, as the engine
+#: gave them when every strike was priced on its own.
+_LADDER_BITS = (
+    "0x1.770000002a210p+12 0x1.770000000cf90p+12 0x1.d280000000000p-24",
+    "0x1.70c000004ebd0p+12 0x1.70c0000019b00p+12 0x1.a868000000000p-23",
+    "0x1.6a80000091c50p+12 0x1.6a800000324c0p+12 0x1.7de4000000000p-22",
+    "0x1.644000010b500p+12 0x1.64400000615a0p+12 0x1.53ec000000000p-21",
+    "0x1.5e000001e5900p+12 0x1.5e000000ba4a0p+12 0x1.2b46000000000p-20",
+    "0x1.57c0000369b30p+12 0x1.57c0000160760p+12 0x1.049e800000000p-19",
+    "0x1.51800006154c0p+12 0x1.5180000293620p+12 0x1.c0f5000000000p-19",
+    "0x1.4b40000abdae0p+12 0x1.4b400004c3c80p+12 0x1.7e79800000000p-18",
+    "0x1.45000012c97d0p+12 0x1.45000008b7620p+12 0x1.4243600000000p-17",
+    "0x1.3ec000208d900p+12 0x1.3ec0000fc4c70p+12 0x1.0c8c900000000p-16",
+    "0x1.38800037e0dc0p+12 0x1.3880001c367f0p+12 0x1.baa5d00000000p-16",
+    "0x1.3240005f05bf0p+12 0x1.32400031ecb60p+12 0x1.68c8480000000p-15",
+    "0x1.2c0000a015600p+12 0x1.2c00005761ca0p+12 0x1.22ce580000000p-14",
+    "0x1.25c0010b2f830p+12 0x1.25c00097489e0p+12 0x1.cf9b940000000p-14",
+    "0x1.1f8001b9cf1d0p+12 0x1.1f80010316dc0p+12 0x1.6d70820000000p-13",
+    "0x1.194002d3cd9a0p+12 0x1.194001b6f4420p+12 0x1.1cd9580000000p-12",
+    "0x1.13000496d81e0p+12 0x1.130002dfbe2c0p+12 0x1.b719f20000000p-12",
+    "0x1.0cc0076166b50p+12 0x1.0cc004c419bd0p+12 0x1.4ea67c0000000p-11",
+    "0x1.06800bc2aaca0p+12 0x1.068007d1f3bb0p+12 0x1.f85b878000000p-11",
+    "0x1.004012916dd20p+12 0x1.00400cb252980p+12 0x1.77c6ce8000000p-10",
+    "0x1.f4003a18ffc20p+11 0x1.f40028cc17a80p+11 0x1.14ce81a000000p-9",
+    "0x1.e7805a104b100p+11 0x1.e78040dd8fc80p+11 0x1.932bb48000000p-9",
+    "0x1.db008a59dff80p+11 0x1.db00661199520p+11 0x1.2242353000000p-8",
+    "0x1.ce80d29b28520p+11 0x1.ce809ef691b60p+11 0x1.9d24b4e000000p-8",
+    "0x1.c2013db5544a0p+11 0x1.c200f50ca1a40p+11 0x1.22a2ca9800000p-7",
+    "0x1.b581daf96e680p+11 0x1.b58175eebf200p+11 0x1.942abd2000000p-7",
+    "0x1.a902bfbce46c0p+11 0x1.a90234dddbbe0p+11 0x1.15be115c00000p-6",
+    "0x1.9c8409657ae20p+11 0x1.9c834cc6e4280p+11 0x1.793d2d7400000p-6",
+    "0x1.9005e0066ed80p+11 0x1.9004e2df6ea00p+11 0x1.fa4e007000000p-6",
+    "0x1.838879aab1ec0p+11 0x1.838729f77c9c0p+11 0x1.4fb3355000000p-5",
+    "0x1.770c1e69416e0p+11 0x1.770a66a005100p+11 0x1.b7c93c5e00000p-5",
+    "0x1.6a912d6011b80p+11 0x1.6a8ef4457da80p+11 0x1.1c8d4a0800000p-4",
+    "0x1.5e1822af4f940p+11 0x1.5e154b5a9dce0p+11 0x1.6baa58e300000p-4",
+    "0x1.51a19e89383a0p+11 0x1.519e08a970800p+11 0x1.caefe3dd00000p-4",
+    "0x1.452e6d61ee500p+11 0x1.4529f5d6d8240p+11 0x1.1de2c58b00000p-3",
+    "0x1.38bf913e08ea0p+11 0x1.38ba13166ce40p+11 0x1.5f89e70180000p-3",
+    "0x1.2c564c0ddd920p+11 0x1.2c4fa1f9de780p+11 0x1.aa84ffc680000p-3",
+    "0x1.1ff42aeebcd00p+11 0x1.1fec312fd7240p+11 0x1.fe6fb96b00000p-3",
+    "0x1.139b1212e27e0p+11 0x1.1391a8eb56160p+11 0x1.2d24f18d00000p-2",
+    "0x1.074d48f58ede0p+11 0x1.0742578ea8d20p+11 0x1.5e2cdcc180000p-2",
+    "0x1.f61b0cc7db6c0p+10 0x1.f601fc2c704c0p+10 0x1.9109b6b200000p-2",
+    "0x1.ddbdf78de1cc0p+10 0x1.dda1b742ef880p+10 0x1.c404af2440000p-2",
+    "0x1.c58abe00bbf40p+10 0x1.c56b6ebc27c80p+10 0x1.f4f44942c0000p-2",
+    "0x1.ad89e43148a00p+10 0x1.ad67d00bdb8c0p+10 0x1.10a12b68a0000p-1",
+    "0x1.95c50fdce6c40p+10 0x1.95a0b02d366c0p+10 0x1.22fd7d82c0000p-1",
+    "0x1.7e470a2e76cc0p+10 0x1.7e210bd786240p+10 0x1.2ff2b78540000p-1",
+    "0x1.671bb85661f80p+10 0x1.66f4fdee42040p+10 0x1.35d340ffa0000p-1",
+    "0x1.505009a3c4e80p+10 0x1.5029aae53a5c0p+10 0x1.32f5f45460000p-1",
+    "0x1.39f1da1d7f340p+10 0x1.39cd2035f6900p+10 0x1.25cf3c4520000p-1",
+    "0x1.240fc90d95440p+10 0x1.23ee27860f6c0p+10 0x1.0d0c3c2ec0000p-1",
+    "0x1.0eb903807b180p+10 0x1.0e9c0dba6ce40p+10 0x1.cf5c60e340000p-2",
+    "0x1.f3fa06bc45f00p+9 0x1.f3ccbdc105180p+9 0x1.6a47da06c0000p-2",
+    "0x1.cbd688e5ade00p+9 0x1.cbb931146cb80p+9 0x1.d57d141280000p-3",
+    "0x1.a525e2dd00780p+9 0x1.a51ba9ccf4800p+9 0x1.4722017f00000p-4",
+    "0x1.8005170a17100p+9 0x1.8010e2f4c8c00p+9 -0x1.797d563600000p-4",
+    "0x1.5c8f1fc938380p+9 0x1.5cb369af5e600p+9 -0x1.224f313140000p-2",
+    "0x1.3adc3d3302b80p+9 0x1.3b1aedf51f300p+9 -0x1.f58610e3c0000p-2",
+    "0x1.1b014d5363600p+9 0x1.1b5ba0221e1c0p+9 -0x1.694b3aeaf0000p-1",
+    "0x1.fa1e6ca9ec300p+8 0x1.fb0b4532baa80p+8 -0x1.d9b1119cf0000p-1",
+    "0x1.c224d33f86c00p+8 0x1.c3492c0e42480p+8 -0x1.2458cebb88000p+0",
+    "0x1.8e250bdd7c100p+8 0x1.8f7e8b53d7a80p+8 -0x1.597f765b98000p+0",
+    "0x1.5e2439f762300p+8 0x1.5faeef18e8880p+8 -0x1.8ab5218658000p+0",
+    "0x1.321d3f573af00p+8 0x1.33d3c5b84e600p+8 -0x1.b686611370000p+0",
+    "0x1.0a00e376ac500p+8 0x1.0bdc994bfb100p+8 -0x1.dbb5d54ec0000p+0",
+)
+
+
+def _ladder_rows(scenario, strikes) -> list[str]:
+    rows = compare_bs_report(scenario, strikes)["outputs"]["rows"]
+    assert [row["strike"] for row in rows] == strikes
+    return [f"{r['haircut'].hex()} {r['bs_haircut'].hex()} {r['gap'].hex()}" for r in rows]
+
+
+def test_compare_bs_ladder_keeps_its_bits():
+    scenario = load_scenario(Path(__file__).resolve().parent.parent / "scenarios"
+                             / "general_3sigma.json")
+    assert _ladder_rows(scenario, [94000.0 + 100.0 * i for i in range(64)]) == list(_LADDER_BITS)
+
+
+def _alone(m: MarketParams, strike: float):
+    """A ladder row's bits for one strike priced alone, or its error's (type, message)."""
+    try:
+        haircut, benchmark = price_general_repo(m, strike).haircut, bs_haircut(m, strike)
+    except RepoOptionsError as exc:
+        return type(exc), str(exc)
+    return f"{haircut.hex()} {benchmark.hex()} {(haircut - benchmark).hex()}"
+
+
+def _assert_ladder_matches_each_strike_alone(m: MarketParams, strikes: list[float]) -> None:
+    alone = [_alone(m, strike) for strike in strikes]
+    scenario = Scenario("general", m, "USD", strikes[0], None, {})
+    refused = [row for row in alone if isinstance(row, tuple)]
+    if not refused:
+        assert _ladder_rows(scenario, strikes) == alone
+        return
+    with pytest.raises(RepoOptionsError) as caught:
+        compare_bs_report(scenario, strikes)
+    assert (type(caught.value), str(caught.value)) == refused[0]
+
+
+# strike = forward mean + c forward sds; past c = 38 and once Phi(c) underflows to 0
+# censored_min_sd takes its exact tails
+_MULTIPLES = st.one_of(st.sampled_from([-1e3, -40.0, -38.6, -5.0, 0.0, 38.5, 40.0, 1e3]),
+                       st.floats(-45.0, 45.0))
+_TAIL_MARKET = MarketParams(spot_price=55.17, intrinsic_yield=-0.1163, volatility=0.2627,
+                            tenor_days=87, risk_free_rate=0.1142, day_count=360)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(m=st.builds(MarketParams, spot_price=st.floats(1.0, 1e6),
+                   intrinsic_yield=st.floats(-0.2, 0.3), volatility=st.floats(0.01, 1.0),
+                   tenor_days=st.integers(1, 365), risk_free_rate=st.floats(-0.05, 0.2),
+                   day_count=st.sampled_from([360, 365])),
+       multiples=st.lists(_MULTIPLES, min_size=1, max_size=8))
+@example(m=MARKET, multiples=[-50.0, -40.0, -3.0, 0.0])  # Phi(c) == 0, then priced
+@example(m=_TAIL_MARKET, multiples=[40.0, -3.0, 38.5])  # c > 38 priced with a dust haircut
+def test_ladder_rows_match_each_strike_alone(m, multiples):
+    g = forward_gaussian(m)
+    _assert_ladder_matches_each_strike_alone(m, [g.mean + c * g.sd for c in multiples])
+
+
+def test_tail_examples_reach_both_exact_tails():
+    # what the two examples above stand for: each prices a strike in each tail
+    for m, c in ((MARKET, -50.0), (_TAIL_MARKET, 40.0)):
+        g = forward_gaussian(m)
+        quote = price_general_repo(m, g.mean + c * g.sd)
+        assert quote.revenue_sd_abs == (0.0 if c < 0 else g.sd)
+
+
+_LADDER = [99000.0 + 100.0 * i for i in range(16)]
+# a forward sd ten times its mean: a low strike's censored mean is negative
+_WIDE = MarketParams(spot_price=1.0, intrinsic_yield=0.0, volatility=10.0,
+                     tenor_days=360, risk_free_rate=0.05, day_count=360)
+
+
+@pytest.mark.parametrize("k", [0, 5, 15])
+@pytest.mark.parametrize("m, ladder, bad, error", [
+    (MARKET, _LADDER, math.inf, ValidationError),
+    (MARKET, _LADDER, math.nan, ValidationError),
+    (MARKET, _LADDER, -1.0, ValidationError),
+    (MARKET, _LADDER, 150000.0, PricingError),  # non-positive haircut
+    (_WIDE, [25.0 + i for i in range(16)], 0.5, PricingError),  # non-positive lent amount
+    (MARKET, _LADDER, None, ToleranceError),  # identity residual, planted below
+])
+def test_a_refused_strike_fails_the_ladder_as_it_fails_alone(monkeypatch, m, ladder, bad,
+                                                            error, k):
+    strikes = list(ladder)
+    if bad is None:
+        original = general_repo.haircut_identity_residual
+        monkeypatch.setattr(general_repo, "haircut_identity_residual", lambda q, m: (
+            1.0 if q.repurchase_price == strikes[k] else original(q, m)))
+    else:
+        strikes[k] = bad
+    with pytest.raises(error) as alone:
+        price_general_repo(m, strikes[k])
+
+    priced, benchmarks = [], []
+    mean, prices = general_repo.censored_min_mean, general_repo.bs_prices
+    monkeypatch.setattr(general_repo, "censored_min_mean",
+                        lambda strike, g: priced.append(strike) or mean(strike, g))
+    monkeypatch.setattr(general_repo, "bs_prices",
+                        lambda b, ks, put=False: benchmarks.append(ks) or prices(b, ks, put))
+    scenario = Scenario("general", m, "USD", strikes[0], None, {})
+    with pytest.raises(error) as ladder:
+        compare_bs_report(scenario, strikes)
+    assert type(ladder.value) is type(alone.value)
+    assert str(ladder.value) == str(alone.value)
+    # no strike after k was priced, nor any benchmark
+    assert priced[:k] == strikes[:k] and priced[k:] in ([], [strikes[k]])
+    assert benchmarks == []
+
+
+def test_a_deterministic_forward_is_refused_after_the_first_strikes_own_check():
+    flat = MARKET._replace(volatility=0.0)
+    with pytest.raises(ValidationError, match="repurchase_price must be finite and > 0"):
+        price_general_ladder(flat, [math.inf, 99000.0])
+    with pytest.raises(ValidationError, match="variance ratio"):
+        price_general_ladder(flat, [99000.0, math.inf])
+
+
+def test_empty_ladders_price_nothing():
+    assert price_general_ladder(MARKET, []) == []
+    assert bs_haircut_ladder(MARKET, []) == []
