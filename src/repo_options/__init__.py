@@ -69,7 +69,6 @@ from .special_repo import (
 )
 from .stochastic import (
     GaussianParams,
-    censored_max_mean,
     censored_min_mean,
     censored_min_sd,
     put_payoff_mean,
@@ -118,7 +117,6 @@ __all__ = [
     "max_fed_fee",
     "price_lender_fail",
     "GaussianParams",
-    "censored_max_mean",
     "censored_min_mean",
     "censored_min_sd",
     "put_payoff_mean",

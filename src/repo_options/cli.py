@@ -293,6 +293,25 @@ def _report(args: argparse.Namespace) -> dict:
     return dealer_report(scenario, strict=not args.no_strict)
 
 
+#: One row per command: (name, help, scenario kinds, options after the scenario);
+#: a command with no kinds takes no scenario file.
+_COMMANDS = (
+    ("price-general", "price a general-collateral loan and its implicit call", ("general",), ()),
+    ("price-special", "price a lender-fail loan or check special/general rate relations",
+     ("special_lender", "special_relations"), ()),
+    ("dealer-sim", "run the nine-step dealer financing ledger", ("dealer",), (
+        ("--no-strict", dict(action="store_true", help="let the realized trading gain count "
+                             "toward funding the closing leg")),)),
+    ("reproduce-examples", "recompute all bundled reference figures and check tolerances", (), (
+        ("--mc", dict(action="store_true", help="add seeded simulation cross-check rows")),
+        ("--day-count", dict(type=int, choices=(360, 365), default=360,
+                             help="rate-year convention (reference values assume 360)")))),
+    ("compare-bs", "compare pipeline haircuts against the option-pricing benchmark", ("general",), (
+        ("--strikes", dict(required=True,
+                           help="comma-separated repurchase prices (currency units)")),)),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repo-options",
@@ -317,68 +336,14 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, metavar="PATH", help="write output to a file")
 
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "price-general",
-        parents=[common],
-        help="price a general-collateral loan and its implicit call",
-    )
-    p.add_argument("scenario", help="path to a scenario JSON file (kind: general)")
-    p.set_defaults(kinds=("general",))
-
-    p = sub.add_parser(
-        "price-special",
-        parents=[common],
-        help="price a lender-fail loan or check special/general rate relations",
-    )
-    p.add_argument(
-        "scenario",
-        help="path to a scenario JSON file (kind: special_lender or special_relations)",
-    )
-    p.set_defaults(kinds=("special_lender", "special_relations"))
-
-    p = sub.add_parser(
-        "dealer-sim",
-        parents=[common],
-        help="run the nine-step dealer financing ledger",
-    )
-    p.add_argument("scenario", help="path to a scenario JSON file (kind: dealer)")
-    p.add_argument(
-        "--no-strict",
-        action="store_true",
-        help="let the realized trading gain count toward funding the closing leg",
-    )
-    p.set_defaults(kinds=("dealer",))
-
-    p = sub.add_parser(
-        "reproduce-examples",
-        parents=[common],
-        help="recompute all bundled reference figures and check tolerances",
-    )
-    p.add_argument(
-        "--mc", action="store_true", help="add seeded simulation cross-check rows"
-    )
-    p.add_argument(
-        "--day-count",
-        type=int,
-        choices=(360, 365),
-        default=360,
-        help="rate-year convention (reference values assume 360)",
-    )
-    p.set_defaults(kinds=())
-
-    p = sub.add_parser(
-        "compare-bs",
-        parents=[common],
-        help="compare pipeline haircuts against the option-pricing benchmark",
-    )
-    p.add_argument("scenario", help="path to a scenario JSON file (kind: general)")
-    p.add_argument(
-        "--strikes",
-        required=True,
-        help="comma-separated repurchase prices (currency units)",
-    )
-    p.set_defaults(kinds=("general",))
+    for name, help_text, kinds, options in _COMMANDS:
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        if kinds:
+            p.add_argument("scenario",
+                           help="path to a scenario JSON file (kind: " + " or ".join(kinds) + ")")
+        for flag, spec in options:
+            p.add_argument(flag, **spec)
+        p.set_defaults(kinds=kinds)
 
     return parser
 

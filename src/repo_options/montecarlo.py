@@ -54,7 +54,7 @@ CHUNK_SIZE = 1_000_000
 #: cache.  Not part of the determinism contract; any size gives the same bits.
 BLOCK = 65_536
 
-MODES = ("min", "max", "put-payoff")
+MODES = ("min", "put-payoff")
 
 
 class McEstimate(NamedTuple):
@@ -131,8 +131,6 @@ def _chunk_moments(mode: str, strike: float, g: GaussianParams,
         y += g.mean
         if mode == "min":
             np.minimum(strike, y, out=y)
-        elif mode == "max":
-            np.maximum(strike, y, out=y)
         else:
             np.subtract(strike, y, out=y)
             np.maximum(y, 0.0, out=y)
@@ -178,12 +176,11 @@ def mc_sample_stats(strike: float, g: GaussianParams, n: int, seed: int,
                     mode: str) -> McEstimate:
     """Simulate n payoffs of the requested mode and return sample stats.
 
-    mode is one of "min" (min(strike, X)), "max" (max(strike, X)) or
-    "put-payoff" ((strike - X)^+), matching the closed forms in
-    `stochastic`.  se_mean = sd / sqrt(n); se_sd uses the fourth sample
-    moment so that heavily censored (non-normal) payoffs get an honest
-    standard error for the sd as well.  Raises PricingError when M2 * M2
-    underflows, since that standard error is then undefined.
+    mode is "min" (min(strike, X)) or "put-payoff" ((strike - X)^+),
+    matching the closed forms in `stochastic`.  se_mean = sd / sqrt(n);
+    se_sd uses the fourth sample moment so that heavily censored
+    (non-normal) payoffs get an honest standard error for the sd as well.
+    Raises PricingError when M2 * M2 underflows (se_sd is then undefined).
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise ValidationError(f"need n >= 2 samples for a standard deviation, got {n!r}")

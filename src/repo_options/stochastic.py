@@ -9,10 +9,11 @@ call mean
 held once in ``_call_excess``:
 
     E[min(K, X)]  = mu - f(mu - K, sd)          (min(K, X) = X - (X - K)^+)
-    E[max(K, X)]  = K + f(mu - K, sd)           (max(K, X) = K + (X - K)^+)
     E[(K - X)^+]  = f(K - mu, sd)
     Var[min(K,X)] = sd^2 * Var[min(c, Z)], c = (K - mu)/sd, whose first
-                    partial moment E[(c - Z)^+] is f(c, 1)
+                    partial moment E[(c - Z)^+] is f(c, 1); ``censored_min_sd``
+                    reads it from its own Phi(c), phi(c), which it needs
+                    for the second partial moment anyway
 
 At sd = 0 each function returns its exact deterministic limit directly,
 never through the kernel: mu - max(mu - K, 0) is not min(K, mu) once
@@ -75,17 +76,13 @@ def _call_excess(a: float, s: float) -> float:
 
 
 def censored_min_mean(strike: float, g: GaussianParams) -> float:
-    """E[min(strike, X)] for X ~ Normal(g.mean, g.sd^2): mu - f(mu - K, sd)."""
+    """E[min(strike, X)] for X ~ Normal(g.mean, g.sd^2): mu - f(mu - K, sd).
+
+    Since min(K, X) + max(K, X) = K + X, E[max(K, X)] is K + mu minus this.
+    """
     if g.sd == 0.0:
         return min(strike, g.mean)
     return g.mean - _call_excess(g.mean - strike, g.sd)
-
-
-def censored_max_mean(strike: float, g: GaussianParams) -> float:
-    """E[max(strike, X)]: K + f(mu - K, sd), so E[min] + E[max] = K + mu."""
-    if g.sd == 0.0:
-        return max(strike, g.mean)
-    return strike + _call_excess(g.mean - strike, g.sd)
 
 
 def censored_min_sd(strike: float, g: GaussianParams) -> float:
@@ -115,8 +112,9 @@ def censored_min_sd(strike: float, g: GaussianParams) -> float:
     cdf = std_normal_cdf(c)
     if cdf == 0.0:
         return 0.0
-    first = _call_excess(c, 1.0)
-    second = (1.0 + c * c) * cdf + c * std_normal_pdf(c)
+    pdf = std_normal_pdf(c)
+    first = max(c * cdf + pdf, 0.0)  # f(c, 1), as _call_excess(c, 1.0) computes it
+    second = (1.0 + c * c) * cdf + c * pdf
     var = second - first * first
     # censoring can only shrink variance: clamp to [0, 1] against rounding
     var = min(max(var, 0.0), 1.0)

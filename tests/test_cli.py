@@ -662,6 +662,140 @@ def test_version_flag(capsys):
     assert "repo-options" in capsys.readouterr().out
 
 
+# What users see of the parser, at 80 columns: the help of the top level (None) and
+# of each command, and one usage error, so a change to how the parser is built
+# cannot change them unnoticed.
+_HELP = {
+    None: """\
+usage: repo-options [-h] [--version]
+                    {price-general,price-special,dealer-sim,reproduce-examples,compare-bs}
+                    ...
+
+Price the options implicit in collateralised lending: general-repo haircuts,
+lender-fail premiums, rate/haircut algebra, and the dealer financing ledger.
+
+positional arguments:
+  {price-general,price-special,dealer-sim,reproduce-examples,compare-bs}
+    price-general       price a general-collateral loan and its implicit call
+    price-special       price a lender-fail loan or check special/general rate
+                        relations
+    dealer-sim          run the nine-step dealer financing ledger
+    reproduce-examples  recompute all bundled reference figures and check
+                        tolerances
+    compare-bs          compare pipeline haircuts against the option-pricing
+                        benchmark
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+""",
+    'price-general': """\
+usage: repo-options price-general [-h] [--format {json,csv,table}]
+                                  [--seed SEED] [--out PATH]
+                                  scenario
+
+positional arguments:
+  scenario              path to a scenario JSON file (kind: general)
+
+options:
+  -h, --help            show this help message and exit
+  --format {json,csv,table}
+                        output format (default: table)
+  --seed SEED           simulation seed; on pricing commands also enables the
+                        oracle section
+  --out PATH            write output to a file
+""",
+    'price-special': """\
+usage: repo-options price-special [-h] [--format {json,csv,table}]
+                                  [--seed SEED] [--out PATH]
+                                  scenario
+
+positional arguments:
+  scenario              path to a scenario JSON file (kind: special_lender or
+                        special_relations)
+
+options:
+  -h, --help            show this help message and exit
+  --format {json,csv,table}
+                        output format (default: table)
+  --seed SEED           simulation seed; on pricing commands also enables the
+                        oracle section
+  --out PATH            write output to a file
+""",
+    'dealer-sim': """\
+usage: repo-options dealer-sim [-h] [--format {json,csv,table}] [--seed SEED]
+                               [--out PATH] [--no-strict]
+                               scenario
+
+positional arguments:
+  scenario              path to a scenario JSON file (kind: dealer)
+
+options:
+  -h, --help            show this help message and exit
+  --format {json,csv,table}
+                        output format (default: table)
+  --seed SEED           simulation seed; on pricing commands also enables the
+                        oracle section
+  --out PATH            write output to a file
+  --no-strict           let the realized trading gain count toward funding the
+                        closing leg
+""",
+    'reproduce-examples': """\
+usage: repo-options reproduce-examples [-h] [--format {json,csv,table}]
+                                       [--seed SEED] [--out PATH] [--mc]
+                                       [--day-count {360,365}]
+
+options:
+  -h, --help            show this help message and exit
+  --format {json,csv,table}
+                        output format (default: table)
+  --seed SEED           simulation seed; on pricing commands also enables the
+                        oracle section
+  --out PATH            write output to a file
+  --mc                  add seeded simulation cross-check rows
+  --day-count {360,365}
+                        rate-year convention (reference values assume 360)
+""",
+    'compare-bs': """\
+usage: repo-options compare-bs [-h] [--format {json,csv,table}] [--seed SEED]
+                               [--out PATH] --strikes STRIKES
+                               scenario
+
+positional arguments:
+  scenario              path to a scenario JSON file (kind: general)
+
+options:
+  -h, --help            show this help message and exit
+  --format {json,csv,table}
+                        output format (default: table)
+  --seed SEED           simulation seed; on pricing commands also enables the
+                        oracle section
+  --out PATH            write output to a file
+  --strikes STRIKES     comma-separated repurchase prices (currency units)
+""",
+}
+
+_MISSING_STRIKES = """\
+usage: repo-options compare-bs [-h] [--format {json,csv,table}] [--seed SEED]
+                               [--out PATH] --strikes STRIKES
+                               scenario
+repo-options compare-bs: error: the following arguments are required: --strikes
+"""
+
+
+@pytest.mark.parametrize("command", list(_HELP))
+def test_help_text_is_pinned(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(["--help"] if command is None else [command, "--help"]) == 0
+    assert capsys.readouterr() == (_HELP[command], "")
+
+
+def test_missing_required_option_prints_pinned_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(["compare-bs", "x"]) == 2
+    assert capsys.readouterr() == ("", _MISSING_STRIKES)
+
+
 def _declared_scripts() -> dict:
     if sys.version_info >= (3, 11):
         import tomllib

@@ -10,7 +10,6 @@ from repo_options import (
     GaussianParams,
     McEstimate,
     ValidationError,
-    censored_max_mean,
     censored_min_mean,
     censored_min_sd,
     mc_sample_stats,
@@ -72,7 +71,6 @@ def _expression_form_moments(mode, strike, g, rng, count):
     """(n, mean, M2, M3, M4) of one chunk, computed with plain array expressions."""
     payoff = {
         "min": lambda x: np.minimum(strike, x),
-        "max": lambda x: np.maximum(strike, x),
         "put-payoff": lambda x: np.maximum(strike - x, 0.0),
     }[mode]
     y = payoff(g.mean + g.sd * rng.standard_normal(count))
@@ -239,9 +237,6 @@ def test_estimates_match_closed_forms_within_four_se():
     assert abs(est_min.mean - censored_min_mean(strike, G)) <= 4.0 * est_min.se_mean
     assert abs(est_min.sd - censored_min_sd(strike, G)) <= 4.0 * est_min.se_sd
 
-    est_max = mc_sample_stats(strike, G, n, 2025, "max")
-    assert abs(est_max.mean - censored_max_mean(strike, G)) <= 4.0 * est_max.se_mean
-
     est_put = mc_sample_stats(strike, G, n, 2026, "put-payoff")
     assert abs(est_put.mean - put_payoff_mean(strike, G)) <= 4.0 * est_put.se_mean
 
@@ -269,6 +264,8 @@ def test_validation_rejects_bad_inputs():
         mc_sample_stats(90.0, G, 0, 0, "min")
     with pytest.raises(ValidationError):
         mc_sample_stats(90.0, G, 1000, 0, "median")
+    with pytest.raises(ValidationError):
+        mc_sample_stats(90.0, G, 1000, 0, "max")
     with pytest.raises(ValidationError):
         mc_sample_stats(90.0, G, 1000, -1, "min")
     with pytest.raises(ValidationError):
