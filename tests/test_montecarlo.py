@@ -109,7 +109,9 @@ def test_in_place_kernel_is_bit_identical_to_expression_form(mode):
 @pytest.mark.parametrize("n", [2, 7, 8, 9, 127, 128, 129, BLOCK - 1, BLOCK, BLOCK + 1,
                                2 * BLOCK + 3, CHUNK_SIZE - 1, CHUNK_SIZE])
 @pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("sigmas", [-0.7, 3.0, -5.0])  # -5: nearly every payoff is equal
+# -5: nearly every payoff is equal; 0.7 mirrors -0.7, so each payoff also sees
+# the censoring split on the other side of its mean
+@pytest.mark.parametrize("sigmas", [-0.7, 0.7, 3.0, -5.0])
 def test_block_kernel_is_bit_identical_to_expression_form_at_tree_boundaries(n, mode, sigmas):
     strike = G.mean + sigmas * G.sd
     x, scratch = np.empty(n), np.empty(min(BLOCK, n))

@@ -83,6 +83,27 @@ def test_censored_min_bits_frozen(c):
     assert got == _FROZEN_BITS[c]
 
 
+# float.hex of put_payoff_mean, the special-repo payoff f(K - mu, sd), on the same grid
+_FROZEN_PUT_BITS = {
+    -1e3: "0x0.0p+0",
+    -40.0: "0x0.0p+0",
+    -38.6: "0x0.0p+0",
+    -8.0: "0x1.548198b7c68c0p-44",
+    -5.0: "0x1.c1179d21c6f00p-15",
+    -3.0: "0x1.87deb5f303920p-2",
+    0.0: "0x1.8f7f2ef38d959p+8",
+    3.0: "0x1.7791af9986a22p+11",
+    38.5: "0x1.2d3307ae147aep+15",
+    40.0: "0x1.38ef333333332p+15",
+}
+
+
+@pytest.mark.parametrize("c", sorted(_FROZEN_PUT_BITS))
+def test_put_payoff_mean_bits_frozen(c):
+    strike = EXAMPLE_G.mean + c * EXAMPLE_G.sd
+    assert put_payoff_mean(strike, EXAMPLE_G).hex() == _FROZEN_PUT_BITS[c]
+
+
 def test_put_payoff_mean_deep_out_of_the_money():
     # ten sigmas below the mean the put mean is ~7.5e-22; float evaluation
     # cancels to a couple of digits, so only order of magnitude is asserted
