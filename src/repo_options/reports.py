@@ -1,10 +1,18 @@
 """Report documents: structured results plus JSON / CSV / table rendering.
 
-A report is a plain mapping described by ``schemas/report.schema.json``
+A report is a ``dict`` described by ``schemas/report.schema.json``
 (``schema_version`` ``"1"``): provenance (tool, version, optional seed —
 deliberately no timestamps, so identical inputs give byte-identical JSON),
 an echo of the inputs, the computed outputs, and an optional ``oracle``
 section comparing closed-form values against the simulation estimator.
+
+Data model: a report holds str-keyed ``dict``, ``list``, ``str``, ``float``,
+``int``, ``bool`` and ``None``, each of exactly that type, as decoded JSON
+does.  Every format refuses the first value in path order that is anything
+else (a tuple, a ``Mapping`` that is not a ``dict``, a numpy scalar, a
+subclass) with ``TypeError``, or that is a non-finite float (``inf``,
+``nan``) with :class:`PricingError`, naming its path; so a report never
+carries a value that strict JSON parsers reject or that the model cannot give.
 
 Rendering rules:
 
@@ -17,10 +25,7 @@ Rendering rules:
 * CSV is a flat two-column ``field,value`` listing with dotted/indexed
   paths, sorted by path;
 * the table format is for human eyes only: same rows as CSV, numbers
-  shortened to 10 significant digits;
-* every format refuses a non-finite number (``inf``, ``nan``) with a
-  :class:`PricingError` naming its path, so a report never carries a
-  value that strict JSON parsers reject or that the model cannot give.
+  shortened to 10 significant digits.
 
 Every interest rate in a report is an object ``{value, basis, ...}`` —
 per-annum rates carry their ``day_count``, per-period rates their
@@ -92,31 +97,6 @@ _float_repr = float.__repr__
 _int_repr = int.__repr__
 
 
-def _json_float(value: float) -> str:
-    if isfinite(value):
-        return _float_repr(value)
-    raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-
-
-def _json_key(key: Any) -> str:
-    """A dict key as ``json`` coerces it: only str, float, bool, None and int."""
-    if isinstance(key, str):
-        return _encode_str(key)
-    if isinstance(key, float):
-        return _encode_str(_json_float(key))
-    if key is True:
-        return '"true"'
-    if key is False:
-        return '"false"'
-    if key is None:
-        return '"null"'
-    if isinstance(key, int):
-        return _encode_str(_int_repr(key))
-    raise TypeError(
-        f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
-    )
-
-
 def _write_dict(value: dict, out: list[str], newline: str) -> None:
     if not value:
         out.append("{}")
@@ -124,7 +104,7 @@ def _write_dict(value: dict, out: list[str], newline: str) -> None:
     inner = newline + "  "
     sep = "{" + inner
     for key, item in sorted(value.items()):
-        key = _encode_str(key) if type(key) is str else _json_key(key)
+        key = _encode_str(key)
         cls = type(item)
         if cls is float and isfinite(item):
             out.append(f"{sep}{key}: {_float_repr(item)}")
@@ -137,7 +117,7 @@ def _write_dict(value: dict, out: list[str], newline: str) -> None:
     out.append(newline + "}")
 
 
-def _write_list(value: list | tuple, out: list[str], newline: str) -> None:
+def _write_list(value: list, out: list[str], newline: str) -> None:
     if not value:
         out.append("[]")
         return
@@ -154,49 +134,43 @@ def _write_json(value: Any, out: list[str], newline: str) -> None:
     """Append ``value``'s JSON text to ``out``; ``newline`` starts a line at its depth.
 
     The text is what ``json.dumps(sort_keys=True, indent=2, ensure_ascii=False,
-    allow_nan=False)`` writes.  Exact types take the fast paths; any other value
-    goes through ``json``'s own ``isinstance`` order, so subclasses render as
-    they do there.
+    allow_nan=False)`` writes.  A non-finite float or a value outside the data
+    model raises ``TypeError``; :func:`to_json` then finds and names it.
     """
     cls = type(value)
-    if cls is float:
-        out.append(_json_float(value))
+    if cls is float and isfinite(value):
+        out.append(_float_repr(value))
     elif cls is str:
         out.append(_encode_str(value))
     elif cls is dict:
         _write_dict(value, out, newline)
     elif cls is list:
         _write_list(value, out, newline)
-    elif isinstance(value, str):
-        out.append(_encode_str(value))
     elif value is None:
         out.append("null")
     elif value is True:
         out.append("true")
     elif value is False:
         out.append("false")
-    elif isinstance(value, int):
+    elif cls is int:
         out.append(_int_repr(value))
-    elif isinstance(value, float):
-        out.append(_json_float(value))
-    elif isinstance(value, (list, tuple)):
-        _write_list(value, out, newline)
-    elif isinstance(value, dict):
-        _write_dict(value, out, newline)
     else:
-        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+        raise TypeError(f"{cls.__name__} is not a finite report value")
 
 
-def to_json(doc: Mapping[str, Any]) -> str:
-    """Serialise a report deterministically (sorted keys, trailing newline)."""
+def to_json(doc: dict[str, Any]) -> str:
+    """Serialise a report deterministically (sorted keys, trailing newline).
+
+    Refuses a value outside the data model with ``TypeError``, and a non-finite
+    float with :class:`PricingError`, naming its path as CSV and table do.
+    """
 
     out: list[str] = []
     try:
         _write_json(doc, out, "\n")
-    except ValueError:
+    except TypeError:
         for path, value in _rows(doc):
-            if isinstance(value, float) and not isfinite(value):
-                raise _non_finite(path, value) from None
+            _cell(path, value, "", repr)
         raise
     out.append("\n")
     return "".join(out)
@@ -207,9 +181,10 @@ _SCALARS = frozenset((float, str, int, bool, type(None)))
 
 
 def _flatten_into(value: Any, prefix: str, rows: list[tuple[str, Any]]) -> None:
-    if type(value) is dict or isinstance(value, Mapping):
+    cls = type(value)
+    if cls is dict:
         items = [(f"{prefix}.{key}" if prefix else str(key), value[key]) for key in sorted(value)]
-    elif isinstance(value, (list, tuple)):
+    elif cls is list:
         items = [(f"{prefix}[{i}]", item) for i, item in enumerate(value)]
     else:
         rows.append((prefix, value))
@@ -222,41 +197,47 @@ def _flatten_into(value: Any, prefix: str, rows: list[tuple[str, Any]]) -> None:
 
 
 def flatten(value: Any, prefix: str = "") -> list[tuple[str, Any]]:
-    """Flatten nested dicts/lists into ``(dotted.path[index], scalar)`` rows."""
+    """Flatten nested dicts/lists (exact types only) into ``(dotted.path[index], value)`` rows."""
 
     rows: list[tuple[str, Any]] = []
     _flatten_into(value, prefix, rows)
     return rows
 
 
-def _rows(doc: Mapping[str, Any]) -> list[tuple[str, Any]]:
+def _rows(doc: dict[str, Any]) -> list[tuple[str, Any]]:
     rows = flatten(doc)
     rows.sort(key=itemgetter(0))
     return rows
 
 
 def _cell(path: str, value: Any, none: str, number: Callable[[float], str]) -> str:
-    """One rendered scalar; ``none`` and ``number`` are the format's text for None and floats."""
-    if isinstance(value, float):
+    """One rendered scalar; ``none`` and ``number`` are the format's text for None and
+    floats.  A value outside the data model raises ``TypeError`` naming ``path``."""
+    cls = type(value)
+    if cls is float:
         if isfinite(value):
             return number(value)
         raise _non_finite(path, value)
-    if isinstance(value, bool):
+    if cls is str:
+        return value
+    if cls is int:
+        return _int_repr(value)
+    if cls is bool:
         return "true" if value else "false"
     if value is None:
         return none
-    return str(value)
+    raise TypeError(f"report value {path} is of type {cls.__name__}, which a report cannot hold")
 
 
 def _csv_field(text: str) -> str:
-    """``text`` as ``csv.writer(lineterminator="\\n")`` writes it: quoted, with ``"``
-    doubled, when it holds ``,``, ``"`` or ``\\n``; ``\\r`` alone is not quoted."""
-    if "," in text or '"' in text or "\n" in text:
+    """``text`` as ``csv.writer`` writes it: quoted, with ``"`` doubled, when it
+    holds ``,``, ``"``, ``\\n`` or ``\\r``."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
 
 
-def to_csv(doc: Mapping[str, Any]) -> str:
+def to_csv(doc: dict[str, Any]) -> str:
     """Render a report as sorted ``field,value`` rows at full precision."""
 
     lines = ["field,value"]
@@ -265,7 +246,7 @@ def to_csv(doc: Mapping[str, Any]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_table(doc: Mapping[str, Any]) -> str:
+def to_table(doc: dict[str, Any]) -> str:
     """Render a report as an aligned two-column table (human-readable)."""
 
     rows = _rows(doc)
@@ -275,7 +256,7 @@ def to_table(doc: Mapping[str, Any]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render(doc: Mapping[str, Any], fmt: str) -> str:
+def render(doc: dict[str, Any], fmt: str) -> str:
     """Render a report in one of the supported output formats."""
 
     if fmt == "json":

@@ -205,7 +205,12 @@ def validate_scenario_data(data: Any) -> None:
 
 
 def parse_scenario(data: Any) -> Scenario:
-    """Validate a decoded JSON document and build a typed :class:`Scenario`."""
+    """Validate a decoded JSON document and build a typed :class:`Scenario`.
+
+    ``data`` is decoded JSON, and reports echo it as ``Scenario.raw``.  A value of
+    a subclass, such as a numpy float, passes validation but is refused
+    (``TypeError``) when the report is rendered.
+    """
 
     validate_scenario_data(data)
 
