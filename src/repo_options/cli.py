@@ -47,6 +47,7 @@ from .errors import (
     ValidationError,
 )
 from .general_repo import (
+    VALID_DAY_COUNTS,
     bs_haircut,
     bs_haircut_ladder,
     forward_gaussian,
@@ -304,7 +305,7 @@ _COMMANDS = (
                              "toward funding the closing leg")),)),
     ("reproduce-examples", "recompute all bundled reference figures and check tolerances", (), (
         ("--mc", dict(action="store_true", help="add seeded simulation cross-check rows")),
-        ("--day-count", dict(type=int, choices=(360, 365), default=360,
+        ("--day-count", dict(type=int, choices=VALID_DAY_COUNTS, default=360,
                              help="rate-year convention (reference values assume 360)")))),
     ("compare-bs", "compare pipeline haircuts against the option-pricing benchmark", ("general",), (
         ("--strikes", dict(required=True,

@@ -53,9 +53,37 @@ from .special_repo import SpecialRepoRelations, build_special_relations, max_fed
 MARKET_CONSISTENCY_RTOL = 1e-9
 
 
+def _read_json(path: str | Path) -> Any:
+    """Decode the JSON document in a UTF-8 file; every way that fails is a
+    :class:`ParseError` naming ``path``.  A string holding a lone surrogate
+    (I-JSON, RFC 7493 section 2.1) is refused, since no format could print it."""
+
+    try:
+        with open(path, encoding="utf-8") as file:
+            text = file.read()
+        data = json.loads(text)
+        if "\\u" in text:  # only a \u escape decodes to a surrogate; UTF-8 refuses a lone one
+            json.dumps(data, ensure_ascii=False).encode("utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(
+            f"invalid JSON in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from exc
+    except UnicodeEncodeError as exc:
+        raise ParseError(
+            f"invalid JSON in {path}: a string holds the lone surrogate {exc.object[exc.start]!r}"
+        ) from exc
+    except (ValueError, RecursionError) as exc:
+        # bytes that are not UTF-8, an integer literal longer than
+        # sys.get_int_max_str_digits(), or nesting past the recursion limit
+        raise ParseError(f"invalid JSON in {path}: {exc}") from exc
+    return data
+
+
 @cache
 def _load_packaged_schema(name: str) -> Mapping[str, Any]:
-    return json.loads((Path(__file__).with_name("schemas") / name).read_text("utf-8"))
+    return _read_json(Path(__file__).with_name("schemas") / name)
 
 
 def scenario_schema() -> Mapping[str, Any]:
@@ -287,21 +315,10 @@ def _engine_input(kind: str, market: MarketParams,
 def load_scenario(path: str | Path) -> Scenario:
     """Read, decode and validate a scenario file.
 
-    File-system and JSON-syntax problems raise :class:`ParseError` (exit
-    code 2); schema and semantic violations raise :class:`ValidationError`
-    (exit code 3).
+    A file that cannot be read, is not UTF-8 text or is not JSON (a syntax
+    error, nesting past the recursion limit, a string holding a lone
+    surrogate) raises :class:`ParseError` (exit code 2); schema and semantic
+    violations raise :class:`ValidationError` (exit code 3).
     """
 
-    try:
-        text = Path(path).read_text("utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read scenario file {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"invalid JSON in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    except ValueError as exc:  # an integer literal longer than sys.get_int_max_str_digits()
-        raise ParseError(f"invalid JSON in {path}: {exc}") from exc
-    return parse_scenario(data)
+    return parse_scenario(_read_json(path))

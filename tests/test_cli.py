@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import warnings
@@ -17,10 +18,11 @@ from hypothesis import strategies as st
 
 import repo_options
 from repo_options.cli import main
-from repo_options.errors import PricingError
+from repo_options.errors import ParseError, PricingError
 from repo_options.montecarlo import CHUNK_SIZE
 from repo_options.reference import build_reference_rows
-from repo_options.scenarios import validate_scenario_data
+from repo_options.reports import FORMATS
+from repo_options.scenarios import load_scenario, validate_scenario_data
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO_ROOT / "scenarios"
@@ -343,6 +345,69 @@ def test_overlong_integer_literal_is_exit_2(capsys, tmp_path):
     bad.write_text(text, encoding="utf-8")
     assert main(["price-general", str(bad)]) == 2
     assert "invalid JSON" in capsys.readouterr().err
+
+
+def _general_with_currency(literal: str) -> str:
+    return Path(GENERAL).read_text("utf-8").replace('"currency": "USD"', f'"currency": {literal}')
+
+
+# Files that are not UTF-8 JSON text a report could print; each is a parse error
+# (exit 2), not a traceback.
+_NOT_JSON_TEXT = {
+    "latin1-e-acute": _general_with_currency('"\xe9"').encode("latin-1"),
+    "utf8-bom": b"\xef\xbb\xbf" + Path(GENERAL).read_bytes(),
+    "array-100000-deep": b"[" * 100_000 + b"]" * 100_000,
+    "object-5000-deep": b'{"a":' * 5_000 + b"1" + b"}" * 5_000,
+    # I-JSON (RFC 7493 section 2.1): no format can encode a lone surrogate
+    "lone-surrogate": _general_with_currency('"\\ud800"').encode("ascii"),
+}
+
+
+@pytest.mark.parametrize("name", list(_NOT_JSON_TEXT))
+def test_a_file_that_is_not_json_text_is_exit_2(capsys, tmp_path, name):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(_NOT_JSON_TEXT[name])
+    with pytest.raises(ParseError, match="^invalid JSON in " + re.escape(str(path))):
+        load_scenario(path)
+    out = tmp_path / "report.txt"
+    for fmt in FORMATS:
+        for flags in ([], ["--out", str(out)]):
+            assert main(["price-general", str(path), "--format", fmt, *flags]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert re.fullmatch("error: invalid JSON in [^\n]*\n", captured.err)
+            assert not out.exists()
+
+
+def test_a_surrogate_pair_escape_prices_and_prints_its_character(capsys, tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(_general_with_currency('"\\ud83d\\ude00"'), encoding="ascii")
+    assert load_scenario(path).currency == "\N{GRINNING FACE}"
+    for fmt in FORMATS:
+        assert main(["price-general", str(path), "--format", fmt]) == 0
+        assert "\N{GRINNING FACE}" in capsys.readouterr().out
+
+
+# Arbitrary bytes, mixed with pieces of JSON, escapes, a BOM and bytes that are not UTF-8.
+_FRAGMENTS = st.sampled_from([b"[", b"]", b"{", b"}", b'"', b":", b",", b"1", b'"a"', b"\\",
+                              b"\\u", b"\\ud800", b"\\udc00", b"\\ud83d\\ude00",
+                              b"\xe9", b"\xef\xbb\xbf", b"\xed\xa0\x80", b"[" * 1_000])
+_FILE_BYTES = st.lists(st.one_of(st.binary(max_size=8), _FRAGMENTS)).map(b"".join)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.one_of(st.binary(), _FILE_BYTES))
+def test_no_file_ends_in_a_traceback(tmp_path_factory, data):
+    """Whatever bytes a scenario file holds, the CLI exits 2 or 3 with one typed error."""
+    folder = tmp_path_factory.mktemp("bytes")
+    path, report = folder / "scenario.json", folder / "report.txt"
+    path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["price-general", str(path), "--out", str(report)])
+    assert code in (2, 3), err.getvalue()
+    assert out.getvalue() == "" and not report.exists()
+    assert re.fullmatch("error: [^\n]*\n", err.getvalue())
 
 
 def test_schema_violation_is_exit_3(capsys, tmp_path):

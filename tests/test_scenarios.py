@@ -119,6 +119,15 @@ def test_unknown_fields_rejected_at_each_level():
         parse_scenario(doc)
 
 
+def test_empty_currency_rejected_where_jsonschema_points():
+    doc = _general_doc(currency="")
+    best = jsonschema.exceptions.best_match(_REFERENCE.iter_errors(doc))
+    assert list(best.absolute_path) == ["market", "currency"]
+    message = "^scenario rejected at /market/currency: '' is too short$"
+    with pytest.raises(ValidationError, match=message):
+        parse_scenario(doc)
+
+
 def test_strike_terms_are_exclusive():
     doc = _general_doc()
     doc["terms"] = {"sigma_multiple": 3.0, "repurchase_price": 97000.0}
@@ -286,6 +295,7 @@ def test_scenario_files_validate_against_schema_directly():
     (("properties", "terms"), {"type": "array"}),
     (("properties", "mc"), {"additionalProperties": {"type": "integer"}}),
     (("$defs", "dealer_terms"), {"$ref": "https://example.com/dealer.json"}),
+    (("properties", "market", "properties"), {"currency": True}),
 ])
 def test_unsupported_schema_keyword_refused_at_load(monkeypatch, where, addition):
     schema = copy.deepcopy(scenario_schema())

@@ -231,6 +231,8 @@ def test_validation_rejects_out_of_domain():
         build_special_relations(0.0, 0.02, 0.0025, special_rate=0.001)
     with pytest.raises(ValidationError):
         fed_fee_rate(0.01, -1.0, 0.02)
+    with pytest.raises(ValidationError, match="spot_price must be > 0"):
+        max_fed_fee(0.0, 0.02, 0.01, 0.0)
     with pytest.raises(ValidationError):
         max_fed_fee(1e5, 1.0, 0.01, 0.0)
     with pytest.raises(ValidationError):
