@@ -75,27 +75,20 @@ def _require_kind(scenario: Scenario, *kinds: str) -> None:
         )
 
 
-def _set_z(section: dict, stat: str, delta: float, se: float) -> None:
-    """Set ``z_<stat>`` to delta / se; when se is 0, leave it out and say why in ``z_omitted``."""
-    if se > 0.0:
-        section[f"z_{stat}"] = delta / se
-    else:
-        section.setdefault("z_omitted", {})[f"z_{stat}"] = (
-            f"se_{stat} is 0, so delta_{stat} cannot be measured in standard errors")
-
-
 def _oracle_section(
     mode: str,
     strike: float,
     scenario: Scenario,
     seed_override: int | None,
-    closed_mean: float,
-    closed_sd: float | None = None,
+    **closed: float,
 ) -> dict | None:
     """Simulation cross-check section, or None when neither mc nor --seed asks for one.
 
     A scenario's ``mc`` section sets n and seed, ``--seed`` overrides the
-    seed; ``--seed`` alone runs DEFAULT_ORACLE_N samples.
+    seed; ``--seed`` alone runs DEFAULT_ORACLE_N samples.  ``closed`` holds the
+    closed-form value of each statistic compared (``mean``, and ``sd`` if given):
+    each gets ``delta_<stat>`` and ``z_<stat>``, or, when its standard error is 0,
+    an entry in ``z_omitted`` saying why there is no z.
     """
     if scenario.mc is not None:
         n = scenario.mc.n
@@ -105,24 +98,17 @@ def _oracle_section(
     else:
         return None
     est = mc_sample_stats(strike, forward_gaussian(scenario.market), n, seed, mode)
-    section: dict = {
-        "mode": mode,
-        "n": est.n_samples,
-        "seed": est.seed,
-        "estimate": {
-            "mean": est.mean,
-            "sd": est.sd,
-            "se_mean": est.se_mean,
-            "se_sd": est.se_sd,
-        },
-        "closed_form": {"mean": closed_mean},
-        "delta_mean": closed_mean - est.mean,
-    }
-    _set_z(section, "mean", closed_mean - est.mean, est.se_mean)
-    if closed_sd is not None:
-        section["closed_form"]["sd"] = closed_sd
-        section["delta_sd"] = closed_sd - est.sd
-        _set_z(section, "sd", closed_sd - est.sd, est.se_sd)
+    estimate = {"mean": est.mean, "sd": est.sd, "se_mean": est.se_mean, "se_sd": est.se_sd}
+    section: dict = {"mode": mode, "n": est.n_samples, "seed": est.seed,
+                     "estimate": estimate, "closed_form": closed}
+    for stat, value in closed.items():
+        delta = section[f"delta_{stat}"] = value - estimate[stat]
+        se = estimate[f"se_{stat}"]
+        if se > 0.0:
+            section[f"z_{stat}"] = delta / se
+        else:
+            section.setdefault("z_omitted", {})[f"z_{stat}"] = (
+                f"se_{stat} is 0, so delta_{stat} cannot be measured in standard errors")
     return section
 
 
@@ -150,9 +136,8 @@ def general_report(scenario: Scenario, seed_override: int | None = None) -> dict
         },
         "identity_residual": haircut_identity_residual(quote, market),
     }
-    oracle = _oracle_section(
-        "min", strike, scenario, seed_override, quote.revenue_mean, quote.revenue_sd_abs
-    )
+    oracle = _oracle_section("min", strike, scenario, seed_override,
+                             mean=quote.revenue_mean, sd=quote.revenue_sd_abs)
     return build_report(
         command="price-general",
         inputs=scenario.raw,
@@ -176,7 +161,8 @@ def special_lender_report(scenario: Scenario, seed_override: int | None = None) 
             trader_return=rate_per_period(quote.trader_return, td),
         ),
     }
-    oracle = _oracle_section("put-payoff", strike, scenario, seed_override, quote.put_value_mean)
+    oracle = _oracle_section("put-payoff", strike, scenario, seed_override,
+                             mean=quote.put_value_mean)
     return build_report(
         command="price-special",
         inputs=scenario.raw,

@@ -142,8 +142,8 @@ class CashflowReport(NamedTuple):
     total             = interest_and_fees + speculative
     ledger_cash       = final cash from replaying the nine steps
 
-    The first three are the closing_strict, note_repurchase and
-    closing_weak slacks of the liquidity conditions, bit for bit.
+    The first three are read from check_liquidity's closing_strict,
+    note_repurchase and closing_weak slacks.
     """
 
     interest_and_fees: float
@@ -156,16 +156,6 @@ class CashflowReport(NamedTuple):
         return self.ledger_cash - self.total
 
 
-def _conditions(s: DealerScenario) -> dict[str, float]:
-    carry = -s.fed_fee + s.general_lend * s.general_rate - s.client_loan * s.special_rate
-    return {
-        "fee_funding": s.client_loan - s.general_lend - s.fed_fee,
-        "note_repurchase": s.spot_value - s.intermediate_value,
-        "closing_strict": carry,
-        "closing_weak": s.spot_value - s.intermediate_value + carry,
-    }
-
-
 def check_liquidity(s: DealerScenario, strict: bool = True) -> list[LiquidityCondition]:
     """Evaluate all four funding conditions without running the ledger.
 
@@ -175,10 +165,15 @@ def check_liquidity(s: DealerScenario, strict: bool = True) -> list[LiquidityCon
     slack may legitimately fund a price above the starting spot).
     """
     tolerance = RELATIVE_TOLERANCE * s.spot_value
-    enforced = ("fee_funding", "closing_strict" if strict else "closing_weak")
+    carry = -s.fed_fee + s.general_lend * s.general_rate - s.client_loan * s.special_rate
+    speculative = s.spot_value - s.intermediate_value
+    slacks = (("fee_funding", s.client_loan - s.general_lend - s.fed_fee, True),
+              ("note_repurchase", speculative, False),
+              ("closing_strict", carry, strict),
+              ("closing_weak", speculative + carry, not strict))
     return [LiquidityCondition(name=name, slack=slack,
-                               satisfied=slack >= -tolerance, enforced=name in enforced)
-            for name, slack in _conditions(s).items()]
+                               satisfied=slack >= -tolerance, enforced=enforced)
+            for name, slack, enforced in slacks]
 
 
 def run_dealer_scenario(s: DealerScenario,
@@ -188,14 +183,13 @@ def run_dealer_scenario(s: DealerScenario,
     Returns the step log, one LedgerStep per step, and the cash
     decomposition.  Raises LiquidityError naming the first unfundable
     step: steps 1-6 if the running cash balance would go negative, step 7
-    if the applicable closing condition fails.  strict=True (default)
+    if the closing condition check_liquidity enforces fails.  strict=True (default)
     requires the carry alone to cover the closing leg; strict=False also
     counts the realized trading gain.
     """
     tolerance = RELATIVE_TOLERANCE * s.spot_value
-    conditions = _conditions(s)
-    closing_name = "closing_strict" if strict else "closing_weak"
-    closing_slack = conditions[closing_name]
+    _, speculative, closing_strict, closing_weak = check_liquidity(s, strict)
+    closing = closing_strict if closing_strict.enforced else closing_weak
     n, spot = s.note_count, s.spot_value
     # (step, label, cash_delta, note_delta, collateral_delta)
     table = (
@@ -216,10 +210,10 @@ def run_dealer_scenario(s: DealerScenario,
     cash, notes, collateral = 0.0, 0, 0.0
     steps = []
     for step, label, cash_delta, note_delta, collateral_delta in table:
-        if step == 7 and not closing_slack >= -tolerance:
+        if step == 7 and not closing.satisfied:
             raise LiquidityError(
-                f"closing leg underfunded: {closing_name} slack {closing_slack:.6g}",
-                step=7, condition=closing_name, slack=closing_slack)
+                f"closing leg underfunded: {closing.name} slack {closing.slack:.6g}",
+                step=7, condition=closing.name, slack=closing.slack)
         cash += cash_delta
         notes += note_delta
         collateral += collateral_delta
@@ -230,7 +224,7 @@ def run_dealer_scenario(s: DealerScenario,
                 f"step {step} ({label}) would drive cash to {cash:.6g}",
                 step=step, condition="running_balance", slack=cash)
 
-    return steps, CashflowReport(interest_and_fees=conditions["closing_strict"],
-                                 speculative=conditions["note_repurchase"],
-                                 total=conditions["closing_weak"],
+    return steps, CashflowReport(interest_and_fees=closing_strict.slack,
+                                 speculative=speculative.slack,
+                                 total=closing_weak.slack,
                                  ledger_cash=cash)

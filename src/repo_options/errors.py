@@ -41,7 +41,10 @@ class PricingError(RepoOptionsError, ValueError):
 
 
 class ToleranceError(RepoOptionsError):
-    """A reproduced reference value fell outside its tolerance."""
+    """A quote's haircut identity residual exceeds 1e-10 and rounding does not explain it.
+
+    ``reproduce-examples`` reports a reference value outside its tolerance with
+    exit code 4 without raising this."""
 
     exit_code = EXIT_PRICING
 

@@ -203,19 +203,20 @@ def price_general_repo(m: MarketParams, repurchase_price: float) -> GeneralRepoQ
     return price_general_ladder(m, (repurchase_price,))[0]
 
 
-def _bs_inputs(m: MarketParams, strike: float) -> BsInputs:
+def bs_inputs(m: MarketParams, strike: float) -> BsInputs:
+    """The Black-Scholes inputs of an option on the collateral struck at ``strike``."""
     return BsInputs(spot=m.spot_price, strike=strike, rate=m.risk_free_rate,
                     vol=m.volatility, tenor=m.period_years)
 
 
 def bs_haircut(m: MarketParams, repurchase_price: float) -> float:
     """Black-Scholes benchmark for the haircut: a call struck at the repurchase price."""
-    return bs_call(_bs_inputs(m, repurchase_price))
+    return bs_call(bs_inputs(m, repurchase_price))
 
 
 def bs_haircut_ladder(m: MarketParams, strikes: Sequence[float]) -> list[float]:
     """`bs_haircut` at each repurchase price; the market fields are checked once."""
-    return bs_prices(_bs_inputs(m, strikes[0]), strikes) if strikes else []
+    return bs_prices(bs_inputs(m, strikes[0]), strikes) if strikes else []
 
 
 def lender_rate_from_bs(m: MarketParams, quote: GeneralRepoQuote, benchmark: float) -> float:

@@ -13,6 +13,8 @@ else (a tuple, a ``Mapping`` that is not a ``dict``, a numpy scalar, a
 subclass) with ``TypeError``, or that is a non-finite float (``inf``,
 ``nan``) with :class:`PricingError`, naming its path; so a report never
 carries a value that strict JSON parsers reject or that the model cannot give.
+A ``dict`` holding a key that is not a ``str`` is refused with ``TypeError``
+naming the dict's path, before any value is looked at.
 
 Rendering rules:
 
@@ -183,7 +185,12 @@ _SCALARS = frozenset((float, str, int, bool, type(None)))
 def _flatten_into(value: Any, prefix: str, rows: list[tuple[str, Any]]) -> None:
     cls = type(value)
     if cls is dict:
-        items = [(f"{prefix}.{key}" if prefix else str(key), value[key]) for key in sorted(value)]
+        head = prefix + "." if prefix else ""
+        try:  # a key that is not a str fails the sort or the join
+            items = [(head + key, value[key]) for key in sorted(value)]
+        except TypeError:
+            raise TypeError(f"report value {prefix} has a key that is not a str, "
+                            "which a report cannot hold") from None
     elif cls is list:
         items = [(f"{prefix}[{i}]", item) for i, item in enumerate(value)]
     else:

@@ -166,6 +166,12 @@ def _valid(schema: Mapping[str, Any], x: Any) -> bool:
     return all(keyword is None for _, keyword, _ in errors)
 
 
+def _short(x: Any) -> str:
+    """``repr(x)``, or its first 57 characters and ``...`` when it is over 60 long."""
+    text = repr(x)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
 def _walk(schema: Mapping[str, Any], x: Any, path: tuple, out: list) -> None:
     """Append ``(path, keyword, message)`` for each way ``x`` breaks ``schema``, and
     keyword None for an integer no float can hold (the engines compute in floats)."""
@@ -175,18 +181,18 @@ def _walk(schema: Mapping[str, Any], x: Any, path: tuple, out: list) -> None:
     for key, value in schema.items():
         if key == "type":
             if not _is_type(x, value):
-                out.append((path, key, f"{x!r} is not of type {value!r}"))
+                out.append((path, key, f"{_short(x)} is not of type {value!r}"))
         elif key in ("enum", "const"):
             # JSON equality: 360.0 equals 360, but true is not 1
             options = value if key == "enum" else [value]
             if not any(x == v and isinstance(x, bool) == isinstance(v, bool) for v in options):
-                out.append((path, key, f"{x!r} is not one of {options!r}"))
+                out.append((path, key, f"{_short(x)} is not one of {options!r}"))
         elif key in _BOUNDS:
             if _is_type(x, "number") and _BOUNDS[key](x, value):
-                out.append((path, key, f"{x!r} breaks {key} {value!r}"))
+                out.append((path, key, f"{_short(x)} breaks {key} {value!r}"))
         elif key == "minLength":
             if isinstance(x, str) and len(x) < value:
-                out.append((path, key, f"{x!r} is too short"))
+                out.append((path, key, f"{_short(x)} is too short"))
         elif not isinstance(x, dict) and key in ("required", "properties", "additionalProperties"):
             continue
         elif key == "required":
@@ -198,17 +204,17 @@ def _walk(schema: Mapping[str, Any], x: Any, path: tuple, out: list) -> None:
         elif key == "additionalProperties":
             extras = sorted((k for k in x if k not in schema.get("properties", ())), key=str)
             if extras:
-                out.append((path, key, f"properties {', '.join(map(repr, extras))} not allowed"))
+                out.append((path, key, f"properties {', '.join(map(_short, extras))} not allowed"))
         elif key == "allOf":
             for sub in value:
                 _walk(sub, x, path, out)
         elif key in ("anyOf", "oneOf"):
             passed = sum(_valid(sub, x) for sub in value)
             if passed == 0 or key == "oneOf" and passed > 1:
-                out.append((path, key, f"{x!r} matches {passed} of its {key} schemas"))
+                out.append((path, key, f"{_short(x)} matches {passed} of its {key} schemas"))
         elif key == "not":
             if _valid(value, x):
-                out.append((path, key, f"{x!r} should not be valid under {value!r}"))
+                out.append((path, key, f"{_short(x)} should not be valid under {value!r}"))
         elif key == "if":
             if "then" in schema and _valid(value, x):
                 _walk(schema["then"], x, path, out)

@@ -27,9 +27,9 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .blackscholes import BsInputs, bs_put
+from .blackscholes import bs_put
 from .errors import ValidationError
-from .general_repo import MarketParams, forward_gaussian
+from .general_repo import MarketParams, bs_inputs, forward_gaussian
 from .stochastic import put_payoff_mean
 
 REGIME_TOLERANCE = 1e-9
@@ -51,14 +51,7 @@ class SpecialLenderQuote(NamedTuple):
     trader_return: float
 
 
-class SpecialRepoRelations(NamedTuple):
-    """Consistent (rates, haircuts, fee) tuple in per-period terms.
-
-    general_rate, special_rate, general_haircut, special_haircut and
-    fee_rate are per-period fractions; max_fee and general_lend are
-    currency amounts for the given spot value.
-    """
-
+class _RelationsFields(NamedTuple):
     general_rate: float
     special_rate: float
     general_haircut: float
@@ -67,16 +60,29 @@ class SpecialRepoRelations(NamedTuple):
     max_fee: float
     general_lend: float
 
-    def balance_residual(self) -> float:
-        """(1+special_rate)(1-special_haircut) - (1+general_rate)(1-general_haircut)."""
-        return ((1.0 + self.special_rate) * (1.0 - self.special_haircut)
-                - (1.0 + self.general_rate) * (1.0 - self.general_haircut))
 
-    def validate(self) -> None:
+class SpecialRepoRelations(_RelationsFields):
+    """Consistent (rates, haircuts, fee) tuple in per-period terms.
+
+    general_rate, special_rate, general_haircut, special_haircut and
+    fee_rate are per-period fractions; max_fee and general_lend are
+    currency amounts for the given spot value.  A tuple whose balance
+    residual exceeds REGIME_TOLERANCE is refused when it is built.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        # the NamedTuple's __new__ has set the fields from the arguments; check them
         residual = self.balance_residual()
         if not abs(residual) <= REGIME_TOLERANCE:
             raise ValidationError(f"inconsistent special-repo relations: balance "
                                   f"residual {residual:.3e} exceeds {REGIME_TOLERANCE:.0e}")
+
+    def balance_residual(self) -> float:
+        """(1+special_rate)(1-special_haircut) - (1+general_rate)(1-general_haircut)."""
+        return ((1.0 + self.special_rate) * (1.0 - self.special_haircut)
+                - (1.0 + self.general_rate) * (1.0 - self.general_haircut))
 
 
 def price_lender_fail(m: MarketParams, repurchase_price: float) -> SpecialLenderQuote:
@@ -88,9 +94,7 @@ def price_lender_fail(m: MarketParams, repurchase_price: float) -> SpecialLender
     mean payoff of the same put.  trader_return = put_value_mean/premium - 1
     per period, defined as 0 when the premium is zero (no premium at risk).
     """
-    premium = bs_put(BsInputs(spot=m.spot_price, strike=repurchase_price,
-                              rate=m.risk_free_rate, vol=m.volatility,
-                              tenor=m.period_years))
+    premium = bs_put(bs_inputs(m, repurchase_price))
     lent_amount = m.spot_price + premium
     special_rate_pa = (repurchase_price / lent_amount - 1.0) / m.period_years
     put_value = put_payoff_mean(repurchase_price, forward_gaussian(m))
@@ -191,7 +195,7 @@ def build_special_relations(spot_price: float, general_haircut: float,
         special_rate = rate_from_haircuts(general_haircut, special_haircut, general_rate)
     elif special_haircut is None:
         special_haircut = haircut_from_rates(general_haircut, general_rate, special_rate)
-    rel = SpecialRepoRelations(
+    return SpecialRepoRelations(
         general_rate=general_rate,
         special_rate=special_rate,
         general_haircut=general_haircut,
@@ -200,8 +204,6 @@ def build_special_relations(spot_price: float, general_haircut: float,
         max_fee=max_fed_fee(spot_price, special_haircut, general_rate, special_rate),
         general_lend=spot_price * (1.0 - general_haircut),
     )
-    rel.validate()
-    return rel
 
 
 def classify_regime(rel: SpecialRepoRelations) -> str:
@@ -214,7 +216,6 @@ def classify_regime(rel: SpecialRepoRelations) -> str:
     normal: anything else.  Ties resolve in that priority order, each
     zero test at 1e-9 absolute.
     """
-    rel.validate()
     if abs(rel.special_haircut) <= REGIME_TOLERANCE:
         return "guaranteed_delivery"
     if abs(rel.special_rate) <= REGIME_TOLERANCE and rel.fee_rate > 0.0:

@@ -419,6 +419,26 @@ def test_schema_violation_is_exit_3(capsys, tmp_path):
     assert "scenario rejected" in capsys.readouterr().err
 
 
+def _nested_array(depth: int) -> list:
+    value: list = []
+    for _ in range(depth - 1):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize("command, base, edit, pointer", [
+    ("price-general", GENERAL, lambda d: d["market"].update(currency=_nested_array(400)),
+     "/market/currency"),
+    ("dealer-sim", DEALER_MAX, lambda d: d["terms"].update(fed_fee="x" * 5000), "/terms/fed_fee"),
+], ids=["nested_currency", "long_fed_fee"])
+def test_a_validation_message_shows_at_most_60_characters_of_a_value(
+        capsys, tmp_path, command, base, edit, pointer):
+    assert main([command, _write_scenario(tmp_path, base, edit)]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(f"error: scenario rejected at {pointer}: [^\n]{{1,140}}\n", err), err
+    assert "..." in err
+
+
 def test_mc_sample_budget_is_exit_3(capsys, tmp_path, monkeypatch):
     def never(*args):
         raise AssertionError("sampled despite an over-budget mc.n")
@@ -990,6 +1010,10 @@ _CHECKED_RECORDS = {
     "MarketParams": (dict(spot_price=100.0, intrinsic_yield=0.03, volatility=0.19,
                           tenor_days=1, risk_free_rate=0.0, day_count=360),
                      ("day_count", 365), ("day_count", 364)),
+    "SpecialRepoRelations": (dict(general_rate=0.25, special_rate=0.0, general_haircut=0.2,
+                                  special_haircut=0.0, fee_rate=0.2, max_fee=20.0,
+                                  general_lend=80.0),
+                             ("max_fee", 19.0), ("special_haircut", 0.01)),
 }
 
 

@@ -1,5 +1,8 @@
 """Nine-step dealer ledger: conservation, decomposition, liquidity gates."""
 
+from collections import Counter
+from itertools import accumulate
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from repo_options import (
     max_fed_fee,
     run_dealer_scenario,
 )
+from repo_options.dealer import RELATIVE_TOLERANCE
 from repo_options.special_repo import haircut_from_rates
 
 
@@ -143,6 +147,49 @@ def test_decomposition_matches_ledger_randomized():
         assert report.total == slack["closing_weak"]
         assert report.speculative == slack["note_repurchase"]
     assert checked >= 300
+
+
+def test_step_seven_fails_exactly_when_the_enforced_closing_condition_does_randomized():
+    """In both modes the ledger stops at step 7 exactly when steps 1-6 are funded and the
+    closing condition check_liquidity marks enforced is unsatisfied, with its slack."""
+    rng = np.random.default_rng(71)
+    outcomes = Counter()
+    for _ in range(400):
+        g_cut = float(rng.uniform(0.0, 0.08))
+        s_cut = float(rng.uniform(0.0, g_cut))
+        spot, count = float(rng.uniform(10.0, 5000.0)), int(rng.integers(1, 500))
+        s = _scenario(
+            note_spot=spot,
+            note_count=count,
+            intermediate_price=spot * float(rng.uniform(0.97, 1.03)),
+            special_rate=float(rng.uniform(-0.01, 0.02)),
+            general_rate=float(rng.uniform(-0.01, 0.02)),
+            special_haircut=s_cut,
+            general_haircut=g_cut,
+            fed_fee=float(rng.uniform(0.0, 1.2 * spot * count * (g_cut - s_cut))),
+        )
+        opening = accumulate((s.client_loan, -s.general_lend, -s.fed_fee, s.spot_value,
+                              -s.intermediate_value))
+        funded = all(cash >= -RELATIVE_TOLERANCE * s.spot_value for cash in opening)
+        for strict in (True, False):
+            closing_strict, closing_weak = check_liquidity(s, strict)[2:]
+            closing = closing_strict if closing_strict.enforced else closing_weak
+            assert closing.name == ("closing_strict" if strict else "closing_weak")
+            try:
+                run_dealer_scenario(s, strict)
+                step = None
+            except LiquidityError as exc:
+                step = exc.step
+                if step == 7:
+                    assert exc.condition == closing.name
+                    assert exc.slack.hex() == closing.slack.hex()
+            if not funded:
+                assert step is not None and step <= 6
+            else:
+                assert step == (None if closing.satisfied else 7)
+            outcomes[strict, "opening" if not funded else step] += 1
+    for strict in (True, False):
+        assert min(outcomes[strict, "opening"], outcomes[strict, 7], outcomes[strict, None]) >= 20
 
 
 def test_overdrawn_fee_fails_at_step_three():

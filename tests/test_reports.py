@@ -371,11 +371,17 @@ def test_every_format_refuses_a_value_outside_the_data_model(value):
                 render(doc, fmt)
 
 
-def test_json_refuses_a_key_that_is_not_a_string():
-    # every value is in the model, so the walk that names a refused value finds none
-    # and to_json re-raises the writer's TypeError
-    with pytest.raises(TypeError, match="must be a string, not int"):
-        to_json({"outputs": {1: 2.0}})
+@pytest.mark.parametrize("doc, path", [
+    ({"outputs": {1: 2.0}}, "outputs"),
+    ({"outputs": {1: 2.0, "a": 1.0}}, "outputs"),
+    ({"outputs": {"rows": [{"a": 1.0}, {2: 3.0}]}}, "outputs.rows[1]"),
+    ({1: {"a": 2.0}}, ""),
+])
+def test_every_format_refuses_a_key_that_is_not_a_string(doc, path):
+    message = f"^report value {re.escape(path)} has a key that is not a str, which a report cannot hold$"
+    for fmt in FORMATS:
+        with pytest.raises(TypeError, match=message):
+            render(doc, fmt)
 
 
 def test_a_non_finite_value_first_in_path_order_is_named_before_a_refused_one():

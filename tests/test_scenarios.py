@@ -228,7 +228,6 @@ def test_relations_terms_load_with_rates_per_period():
     assert relations.general_rate == pytest.approx(0.03 * 30 / 360, rel=1e-15)
     assert relations.special_rate == pytest.approx(0.01 * 30 / 360, rel=1e-15)
     assert abs(relations.balance_residual()) <= 1e-12
-    relations.validate()
 
 
 def test_relations_terms_accept_haircut_side():

@@ -187,7 +187,9 @@ def test_classify_priority_guaranteed_delivery_beats_stressed():
 
 
 def test_inconsistent_relations_rejected():
-    with pytest.raises(ValidationError, match="residual"):
+    # the tuple checks its balance when it is built, so no consumer holds a bad one
+    with pytest.raises(ValidationError, match="^inconsistent special-repo relations: balance "
+                                              "residual .* exceeds 1e-09$"):
         SpecialRepoRelations(
             general_rate=0.0025,
             special_rate=0.001,
@@ -196,18 +198,6 @@ def test_inconsistent_relations_rejected():
             fee_rate=0.0,
             max_fee=0.0,
             general_lend=98000.0,
-        ).validate()
-    with pytest.raises(ValidationError, match="residual"):
-        classify_regime(
-            SpecialRepoRelations(
-                general_rate=0.0025,
-                special_rate=0.001,
-                general_haircut=0.02,
-                special_haircut=0.05,
-                fee_rate=0.0,
-                max_fee=0.0,
-                general_lend=98000.0,
-            )
         )
 
 
