@@ -23,7 +23,7 @@ import math
 from collections.abc import Iterable
 from typing import NamedTuple
 
-from .errors import ValidationError
+from .errors import CheckedRecord, ValidationError
 from .stochastic import std_normal_cdf
 
 
@@ -35,13 +35,15 @@ class _BsFields(NamedTuple):
     tenor: float
 
 
-class BsInputs(_BsFields):
-    """Inputs of the lognormal pricer; tenor in years, rates per annum."""
+class BsInputs(CheckedRecord, _BsFields):
+    """Inputs of the lognormal pricer; tenor in years, rates per annum.
+
+    A field that breaks a rule raises ValidationError on every construction path.
+    """
 
     __slots__ = ()
 
-    def __init__(self, *args, **kwargs):
-        # the NamedTuple's __new__ has set the fields from the arguments; check them
+    def _check(self):
         if not (math.isfinite(self.spot) and self.spot > 0.0):
             raise ValidationError(f"spot must be > 0, got {self.spot!r}")
         if not (math.isfinite(self.strike) and self.strike > 0.0):

@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import LiquidityError, ValidationError
+from .errors import CheckedRecord, LiquidityError, ValidationError
 
 RELATIVE_TOLERANCE = 1e-9
 
@@ -52,13 +52,16 @@ class _DealerFields(NamedTuple):
     fed_fee: float
 
 
-class DealerScenario(_DealerFields):
-    """Inputs of one dealer fail scenario; rates are per period."""
+class DealerScenario(CheckedRecord, _DealerFields):
+    """Inputs of one dealer fail scenario; rates are per period.
+
+    A field that breaks a rule, or a ledger amount that overflows, raises
+    ValidationError on every construction path.
+    """
 
     __slots__ = ()
 
-    def __init__(self, *args, **kwargs):
-        # the NamedTuple's __new__ has set the fields from the arguments; check them
+    def _check(self):
         if not isinstance(self.note_count, int) or isinstance(self.note_count, bool) \
                 or self.note_count < 1:
             raise ValidationError(f"note_count must be an integer >= 1, "

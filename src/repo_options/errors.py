@@ -1,4 +1,4 @@
-"""Error types and process exit codes shared across the package.
+"""Error types, process exit codes and the checked-record base shared across the package.
 
 Exit code map (used by the CLI):
     0  success
@@ -47,6 +47,20 @@ class ToleranceError(RepoOptionsError):
     exit code 4 without raising this."""
 
     exit_code = EXIT_PRICING
+
+
+class CheckedRecord:
+    """Base, listed before its NamedTuple of fields, of a record whose ``_check(self)``
+    raises ValidationError: the constructor, ``_make`` and ``_replace`` all run it."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        self._check()  # the NamedTuple's __new__ has set the fields
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make
+        return cls(*iterable)
 
 
 class LiquidityError(RepoOptionsError):

@@ -30,7 +30,7 @@ from collections.abc import Iterable, Sequence
 from typing import NamedTuple
 
 from .blackscholes import BsInputs, bs_call, bs_prices
-from .errors import PricingError, ToleranceError, ValidationError
+from .errors import CheckedRecord, PricingError, ToleranceError, ValidationError
 from .stochastic import GaussianParams, censored_min_mean, censored_min_sd
 
 VALID_DAY_COUNTS = (360, 365)
@@ -48,7 +48,7 @@ class _MarketFields(NamedTuple):
     day_count: int = 360
 
 
-class MarketParams(_MarketFields):
+class MarketParams(CheckedRecord, _MarketFields):
     """Market state of the collateral over one repo period.
 
     spot_price: current price of the collateral (currency units)
@@ -57,12 +57,16 @@ class MarketParams(_MarketFields):
     tenor_days: repo term in days (integer >= 1)
     risk_free_rate: per-annum risk-free rate
     day_count: days per year for rate scaling (360 or 365)
+
+    Both simple-interest factors, 1 + intrinsic_yield * t and 1 + risk_free_rate * t
+    with t = tenor_days / day_count, must be positive: the model has no meaning for
+    one that is not.  A field that breaks a rule raises ValidationError on every
+    construction path (the constructor, _make and _replace).
     """
 
     __slots__ = ()
 
-    def __init__(self, *args, **kwargs):
-        # the NamedTuple's __new__ has set the fields from the arguments; check them
+    def _check(self):
         if not (math.isfinite(self.spot_price) and self.spot_price > 0.0):
             raise ValidationError(f"spot_price must be > 0, got {self.spot_price!r}")
         if not math.isfinite(self.intrinsic_yield):
@@ -77,6 +81,11 @@ class MarketParams(_MarketFields):
         if self.day_count not in VALID_DAY_COUNTS:
             raise ValidationError(f"day_count must be one of {VALID_DAY_COUNTS}, "
                                   f"got {self.day_count!r}")
+        for name in ("intrinsic_yield", "risk_free_rate"):
+            factor = 1.0 + getattr(self, name) * self.period_years
+            if not factor > 0.0:
+                raise ValidationError(f"simple-interest factor 1 + {name} * tenor_days / "
+                                      f"day_count must be > 0, got {factor!r}")
 
     @property
     def period_years(self) -> float:
@@ -141,6 +150,10 @@ def price_general_ladder(m: MarketParams, strikes: Iterable[float]) -> list[Gene
     beyond IDENTITY_TOLERANCE raises PricingError when one per-period rate is so large
     that rounding alone explains it, ToleranceError otherwise.  The first refused
     strike raises what it raises alone, before any later strike is priced.
+
+    The lender rate L = r + (y - r) * ratio^2 with ratio in [0, 1] lies between the
+    risk-free rate and the intrinsic yield, so 1 + L * t is positive, since
+    MarketParams makes both of their simple-interest factors positive.
     """
     quotes = []
     for repurchase_price in strikes:

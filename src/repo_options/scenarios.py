@@ -19,8 +19,9 @@ input of its kind in ``Scenario.terms``.  Four kinds are supported:
 ``dealer``
     Nine-step dealer financing ledger; ``terms`` carries the full set of
     dealer inputs, with ``fed_fee`` either a money amount or the string
-    ``"max"`` (resolved to the largest fee the closing leg can absorb);
-    loaded as a DealerScenario.
+    ``"max"`` (resolved to the largest fee the closing leg can absorb, and
+    refused when that is negative: a special rate above the general rate
+    funds no fee); loaded as a DealerScenario.
 
 Conventions enforced here:
 
@@ -303,8 +304,15 @@ def _engine_input(kind: str, market: MarketParams,
             "scenario rejected at /market/spot_price: expected "
             f"note_count * note_spot = {implied!r}, got {spot!r}"
         )
-    fee = terms["fed_fee"]
     special_haircut = float(terms["special_haircut"])
+    fee = terms["fed_fee"]
+    if fee == "max":
+        fee = max_fed_fee(implied, special_haircut, rates["general_rate"], rates["special_rate"])
+        if fee < 0.0:
+            raise ValidationError(
+                f'scenario rejected at /terms/fed_fee: "max" resolves to {fee!r}: special_rate '
+                f'{float(terms["special_rate"])!r} is above general_rate '
+                f'{float(terms["general_rate"])!r}, so no fee can be funded')
     return DealerScenario(
         note_count=note_count,
         note_spot=note_spot,
@@ -313,8 +321,7 @@ def _engine_input(kind: str, market: MarketParams,
         general_rate=rates["general_rate"],
         special_haircut=special_haircut,
         general_haircut=float(terms["general_haircut"]),
-        fed_fee=max_fed_fee(implied, special_haircut, rates["general_rate"],
-                            rates["special_rate"]) if fee == "max" else float(fee),
+        fed_fee=float(fee),
     )
 
 

@@ -28,7 +28,7 @@ import math
 from typing import NamedTuple
 
 from .blackscholes import bs_put
-from .errors import ValidationError
+from .errors import CheckedRecord, ValidationError
 from .general_repo import MarketParams, bs_inputs, forward_gaussian
 from .stochastic import put_payoff_mean
 
@@ -61,19 +61,19 @@ class _RelationsFields(NamedTuple):
     general_lend: float
 
 
-class SpecialRepoRelations(_RelationsFields):
+class SpecialRepoRelations(CheckedRecord, _RelationsFields):
     """Consistent (rates, haircuts, fee) tuple in per-period terms.
 
     general_rate, special_rate, general_haircut, special_haircut and
     fee_rate are per-period fractions; max_fee and general_lend are
     currency amounts for the given spot value.  A tuple whose balance
-    residual exceeds REGIME_TOLERANCE is refused when it is built.
+    residual exceeds REGIME_TOLERANCE raises ValidationError on every
+    construction path.
     """
 
     __slots__ = ()
 
-    def __init__(self, *args, **kwargs):
-        # the NamedTuple's __new__ has set the fields from the arguments; check them
+    def _check(self):
         residual = self.balance_residual()
         if not abs(residual) <= REGIME_TOLERANCE:
             raise ValidationError(f"inconsistent special-repo relations: balance "

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import ValidationError
+from .errors import CheckedRecord, ValidationError
 
 SQRT_2 = math.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -41,13 +41,15 @@ class _GaussianFields(NamedTuple):
     sd: float
 
 
-class GaussianParams(_GaussianFields):
-    """Mean and absolute standard deviation of the forward price."""
+class GaussianParams(CheckedRecord, _GaussianFields):
+    """Mean and absolute standard deviation of the forward price.
+
+    A field that breaks a rule raises ValidationError on every construction path.
+    """
 
     __slots__ = ()
 
-    def __init__(self, *args, **kwargs):
-        # the NamedTuple's __new__ has set the fields from the arguments; check them
+    def _check(self):
         if not math.isfinite(self.mean):
             raise ValidationError(f"forward mean must be finite, got {self.mean!r}")
         if not (math.isfinite(self.sd) and self.sd >= 0.0):
@@ -79,10 +81,14 @@ def censored_min_mean(strike: float, g: GaussianParams) -> float:
     """E[min(strike, X)] for X ~ Normal(g.mean, g.sd^2): mu - f(mu - K, sd).
 
     Since min(K, X) + max(K, X) = K + X, E[max(K, X)] is K + mu minus this.
+    The result is at most min(K, mu), as the model guarantees: once the strike
+    censors almost every draw, mu - f(mu - K, sd) gives back K only up to rounding.
+    The bound guards that dust, as _call_excess's max(., 0) does; it is not a clamp
+    of a model value.
     """
     if g.sd == 0.0:
         return min(strike, g.mean)
-    return g.mean - _call_excess(g.mean - strike, g.sd)
+    return min(g.mean - _call_excess(g.mean - strike, g.sd), strike, g.mean)
 
 
 def censored_min_sd(strike: float, g: GaussianParams) -> float:

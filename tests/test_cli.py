@@ -22,7 +22,7 @@ from repo_options.errors import ParseError, PricingError
 from repo_options.montecarlo import CHUNK_SIZE
 from repo_options.reference import build_reference_rows
 from repo_options.reports import FORMATS
-from repo_options.scenarios import load_scenario, validate_scenario_data
+from repo_options.scenarios import load_scenario, parse_scenario, validate_scenario_data
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = REPO_ROOT / "scenarios"
@@ -248,13 +248,35 @@ def test_compare_bs_checks_the_files_own_terms(capsys, tmp_path):
 def test_compare_bs_checks_the_haircut_identity_as_price_general_does(capsys, tmp_path):
     # a rate so large that rounding alone breaks the identity gate, on every general path
     def edit(doc):
-        doc["market"].update(intrinsic_yield=-1.99e47, tenor_days=30)
-        doc["terms"] = {"repurchase_price": 1.0}
+        doc["market"].update(risk_free_rate=6077489727937541.0, tenor_days=30)
+        doc["terms"] = {"repurchase_price": 100250.0}
     path = _write_scenario(tmp_path, GENERAL, edit)
-    message = ("per-period lender rate -1.658e+46 is outside the model's domain: rounding "
+    message = ("per-period lender rate 3.338e+14 is outside the model's domain: rounding "
                "at that size alone exceeds the 1e-10 identity tolerance")
-    for argv in (["price-general", path], ["compare-bs", path, "--strikes", "1.0"]):
+    for argv in (["price-general", path], ["compare-bs", path, "--strikes", "100250.0"]):
         assert main([*argv, "--format", "json"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
+def test_non_positive_simple_interest_factor_is_refused_on_every_command(capsys, tmp_path):
+    # 1 + intrinsic_yield * t is -1.357, so the forward mean of a positive price is -70.02:
+    # each command priced this market with exit 0 before MarketParams refused it
+    def edit(doc):
+        doc["market"].update(spot_price=51.59578095807105,
+                             intrinsic_yield=-0.035314063277855176,
+                             volatility=6.462607134789791e-07, tenor_days=24029,
+                             risk_free_rate=0.07132613872912438, day_count=360)
+        doc["terms"] = {"repurchase_price": 31.00170559389329}
+    message = ("simple-interest factor 1 + intrinsic_yield * tenor_days / day_count must be "
+               "> 0, got -1.3571156291766169")
+    general = _write_scenario(tmp_path, GENERAL, edit)
+    (tmp_path / "special").mkdir()
+    special = _write_scenario(tmp_path / "special", SPECIAL, edit)
+    for argv in (["price-general", general], ["compare-bs", general, "--strikes", "31,40"],
+                 ["price-special", special]):
+        assert main([*argv, "--format", "json"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
@@ -503,10 +525,11 @@ def _finite_leaves(value) -> bool:
         ("dealer-sim", "dealer_max_fee.json", {},
          {"special_haircut": -1e308, "general_haircut": -1e308, "fed_fee": "max"}, 3,
          "ledger amount client_loan overflows to inf"),
-        # e^{-rT} overflows: the Black-Scholes put, and so the loan, is unbounded
+        # e^{-rT} would overflow, but only past r*t < -709, where 1 + r*t is negative:
+        # refused with the market
         ("price-special", "special_lender_fail.json",
-         {"risk_free_rate": -94.0, "tenor_days": 2719}, {}, 4,
-         "outputs.quote.lent_amount is inf"),
+         {"risk_free_rate": -94.0, "tenor_days": 2719}, {}, 3,
+         "simple-interest factor 1 + risk_free_rate * tenor_days / day_count must be > 0"),
         # S/K underflows inside ln(S/K): finite premium, unbounded premium rate
         ("price-special", "special_lender_fail.json", {"spot_price": 5e-324, "volatility": 1.0},
          {"repurchase_price": 2.0}, 4, "outputs.quote.premium_rate is inf"),
@@ -521,8 +544,12 @@ def _finite_leaves(value) -> bool:
          {"risk_free_rate": 6077489727937541.0, "tenor_days": 30}, {"sigma_multiple": 0}, 4,
          "per-period lender rate 3.338e+14 is outside the model's domain"),
         ("price-general", "general_3sigma.json",
-         {"intrinsic_yield": -1.99e47, "tenor_days": 30}, {"repurchase_price": 1.0}, 4,
-         "per-period lender rate -1.658e+46 is outside the model's domain"),
+         {"intrinsic_yield": -1.99e47, "tenor_days": 30}, {"repurchase_price": 1.0}, 3,
+         "simple-interest factor 1 + intrinsic_yield * tenor_days / day_count must be > 0"),
+        # a special rate above the general rate: "max" resolves to a negative fee
+        ("dealer-sim", "dealer_gain_funded.json", {}, {"fed_fee": "max"}, 3,
+         'scenario rejected at /terms/fed_fee: "max" resolves to -5.444546287809349: '
+         "special_rate 0.05 is above general_rate 0.03, so no fee can be funded"),
     ],
 )
 def test_degenerate_inputs_fail_typed_or_stay_finite(
@@ -608,6 +635,31 @@ def _reject_constant(token):
     raise AssertionError(f"non-standard JSON token {token}")
 
 
+def _assert_in_domain(command, scenario, outputs):
+    """The model's domain on an exit-0 report of a general quote, a ladder or a lender-fail
+    quote.  A slack of 4 ulps of the larger operand covers the rounding of the two products
+    and the sum each bound compares (under 1 ulp in a 150,000-market sweep)."""
+    m, ulps = scenario.market, 4 * sys.float_info.epsilon
+    spot, r, y = m.spot_price, m.risk_free_rate, m.intrinsic_yield
+    # haircut = spot - lent rounds to spot once the loan is below half an ulp of spot
+    haircuts = [row["haircut"] for row in outputs["rows"]] if command == "compare-bs" else []
+    if command == "price-general":
+        q = outputs["quote"]
+        haircuts.append(q["haircut"])
+        assert q["lent_amount"] > 0.0 and q["forward_mean"] > 0.0
+        assert q["revenue_mean"] <= min(q["repurchase_price"], q["forward_mean"])
+        # r + (y - r) * ratio^2 with ratio in [0, 1]
+        slack = ulps * max(abs(r), abs(y))
+        assert min(r, y) - slack <= q["lender_rate"]["value"] <= max(r, y) + slack
+    elif scenario.kind == "special_lender":
+        q = outputs["quote"]
+        # the European put's lower bound, K e^{-rT} - S
+        discounted = q["repurchase_price"] * math.exp(-r * m.period_years)
+        slack = ulps * max(discounted, spot)
+        assert q["premium"] >= max(discounted - spot, 0.0) - slack
+    assert all(0.0 < h <= spot for h in haircuts), haircuts
+
+
 def _assert_finite_or_typed_error(tmp_path_factory, command, doc, huge_field, flags=()):
     """Run ``command`` on the schema-valid ``doc``: exit 0 with finite strict JSON, or a
     typed error (exit 3/4/5, ``error:`` on stderr, nothing on stdout); no warning either way."""
@@ -624,7 +676,9 @@ def _assert_finite_or_typed_error(tmp_path_factory, command, doc, huge_field, fl
         code = main([command, str(path), *flags, "--format", "json"])
     assert not caught, [str(w.message) for w in caught]
     if code == 0:
-        assert _finite_leaves(json.loads(out.getvalue(), parse_constant=_reject_constant))
+        report = json.loads(out.getvalue(), parse_constant=_reject_constant)
+        assert _finite_leaves(report)
+        _assert_in_domain(command, parse_scenario(doc), report["outputs"])
     else:
         assert code in (3, 4, 5), err.getvalue()
         assert out.getvalue() == ""
@@ -1019,8 +1073,9 @@ _CHECKED_RECORDS = {
 
 @pytest.mark.parametrize("name", _RECORDS)
 def test_exported_record_contract(name):
-    """Each record is immutable, equal by fields and names its fields in its repr; one that
-    checks its fields refuses a bad one when constructed directly."""
+    """Each record is immutable, equal by fields and names its fields in its repr, and
+    ``_replace`` and ``_make`` build it as the constructor does; one that checks its
+    fields refuses a bad one on each of those three paths."""
     record = getattr(repo_options, name)
     if name in _CHECKED_RECORDS:
         fields, (field, other), bad = _CHECKED_RECORDS[name]
@@ -1035,6 +1090,13 @@ def test_exported_record_contract(name):
         with pytest.raises(AttributeError):
             setattr(value, attr, other)
     assert repr(value) == f"{name}({', '.join(f'{f}={v!r}' for f, v in fields.items())})"
+    changed = {**fields, field: other}
+    for built in (value._replace(**{field: other}), record._make(changed.values())):
+        assert type(built) is record
+        assert built == record(**changed)
     if bad is not None:
-        with pytest.raises(repo_options.ValidationError):
-            record(**{**fields, bad[0]: bad[1]})
+        bad_fields = {**fields, bad[0]: bad[1]}
+        for build in (lambda: record(**bad_fields), lambda: value._replace(**dict([bad])),
+                      lambda: record._make(bad_fields.values())):
+            with pytest.raises(repo_options.ValidationError):
+                build()

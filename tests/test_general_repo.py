@@ -146,10 +146,10 @@ def test_identity_residual_on_example_quotes():
 
 def test_pricing_checks_the_haircut_identity(monkeypatch):
     # per-period rates so large that rounding alone exceeds the gate: out of domain
-    huge = MarketParams(spot_price=100000.0, intrinsic_yield=-1.99e47, volatility=0.19,
-                        tenor_days=30, risk_free_rate=0.0, day_count=360)
-    with pytest.raises(PricingError, match="per-period lender rate -1.658e[+]46 is outside"):
-        price_general_repo(huge, 1.0)
+    huge = MarketParams(spot_price=100000.0, intrinsic_yield=0.03, volatility=0.19,
+                        tenor_days=30, risk_free_rate=6077489727937541.0, day_count=360)
+    with pytest.raises(PricingError, match="per-period lender rate 3.338e[+]14 is outside"):
+        price_general_repo(huge, 100250.0)
     # a residual that rounding cannot explain is a computation fault
     monkeypatch.setattr(general_repo, "haircut_identity_residual", lambda q, m: 1.0)
     with pytest.raises(ToleranceError, match="haircut identity residual 1.000e[+]00 exceeds 1e-10"):

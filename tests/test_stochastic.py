@@ -176,7 +176,13 @@ def test_censored_min_mean_monotone_in_strike():
     assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
     # bounded above by both the strike and the mean
     for strike, value in zip(strikes, values):
-        assert value <= min(strike, g.mean) + 1e-12
+        assert value <= min(strike, g.mean)
+
+
+def test_censored_min_mean_rounding_stays_below_the_strike():
+    # 164 sds below the mean, mu - (mu - K) gives back K + 1 ulp; the bound returns K
+    g = GaussianParams(mean=4202.621051012061, sd=23.869430440293506)
+    assert censored_min_mean(275.39296329004475, g) == 275.39296329004475
 
 
 def test_censored_min_sd_bounds():
