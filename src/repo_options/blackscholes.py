@@ -23,7 +23,7 @@ import math
 from collections.abc import Iterable
 from typing import NamedTuple
 
-from .errors import CheckedRecord, ValidationError
+from .errors import FINITE, NON_NEGATIVE, POSITIVE, CheckedRecord, ValidationError
 from .stochastic import std_normal_cdf
 
 
@@ -42,18 +42,8 @@ class BsInputs(CheckedRecord, _BsFields):
     """
 
     __slots__ = ()
-
-    def _check(self):
-        if not (math.isfinite(self.spot) and self.spot > 0.0):
-            raise ValidationError(f"spot must be > 0, got {self.spot!r}")
-        if not (math.isfinite(self.strike) and self.strike > 0.0):
-            raise ValidationError(f"strike must be > 0, got {self.strike!r}")
-        if not math.isfinite(self.rate):
-            raise ValidationError(f"rate must be finite, got {self.rate!r}")
-        if not (math.isfinite(self.vol) and self.vol >= 0.0):
-            raise ValidationError(f"vol must be >= 0, got {self.vol!r}")
-        if not (math.isfinite(self.tenor) and self.tenor > 0.0):
-            raise ValidationError(f"tenor must be > 0 years, got {self.tenor!r}")
+    _rules = (("spot", POSITIVE), ("strike", POSITIVE), ("rate", FINITE),
+              ("vol", NON_NEGATIVE), ("tenor", POSITIVE))
 
 
 def bs_prices(b: BsInputs, strikes: Iterable[float], put: bool = False) -> list[float]:

@@ -36,7 +36,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import CheckedRecord, LiquidityError, ValidationError
+from .errors import (COUNT, HAIRCUT, NON_NEGATIVE, POSITIVE, RATE, CheckedRecord, LiquidityError,
+                     ValidationError, require)
 
 RELATIVE_TOLERANCE = 1e-9
 
@@ -60,32 +61,17 @@ class DealerScenario(CheckedRecord, _DealerFields):
     """
 
     __slots__ = ()
+    _rules = (("note_count", COUNT), ("note_spot", POSITIVE), ("intermediate_price", POSITIVE),
+              ("special_rate", RATE), ("general_rate", RATE),
+              ("special_haircut", HAIRCUT), ("general_haircut", HAIRCUT))
 
     def _check(self):
-        if not isinstance(self.note_count, int) or isinstance(self.note_count, bool) \
-                or self.note_count < 1:
-            raise ValidationError(f"note_count must be an integer >= 1, "
-                                  f"got {self.note_count!r}")
-        for name in ("note_spot", "intermediate_price"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValidationError(f"{name} must be > 0, got {value!r}")
-        for name in ("special_rate", "general_rate"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > -1.0):
-                raise ValidationError(f"{name} must be a finite per-period rate > -1, "
-                                      f"got {value!r}")
-        for name in ("special_haircut", "general_haircut"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value < 1.0):
-                raise ValidationError(f"{name} must be < 1, got {value!r}")
         for name in ("spot_value", "intermediate_value", "client_loan", "general_lend",
                      "client_repayment", "general_repayment"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValidationError(f"ledger amount {name} overflows to {value!r}")
-        if not (math.isfinite(self.fed_fee) and self.fed_fee >= 0.0):
-            raise ValidationError(f"fed_fee must be >= 0, got {self.fed_fee!r}")
+        require(NON_NEGATIVE, fed_fee=self.fed_fee)  # after the ledger, whose overflow wins
 
     @property
     def spot_value(self) -> float:

@@ -1,4 +1,4 @@
-"""Error types, process exit codes and the checked-record base shared across the package.
+"""Error types, process exit codes, field rules and the checked-record base of the package.
 
 Exit code map (used by the CLI):
     0  success
@@ -6,7 +6,19 @@ Exit code map (used by the CLI):
     3  validation error (schema violation, bad input values)
     4  pricing, tolerance or identity failure
     5  liquidity failure in the dealer ledger
+
+Field rules, each a test and the text of its refusal "<name> must be <text>, got <repr>":
+FINITE "finite", POSITIVE "> 0", NON_NEGATIVE ">= 0" (-0.0 passes), RATE "> -1" (per
+period), HAIRCUT "< 1" and COUNT "an integer >= 1 that a float can hold" (no bool).
+Each refuses nan, +-inf and an int past the float range.  `require` checks function
+arguments with one rule; a CheckedRecord walks its `_rules`.
 """
+
+import sys
+from collections.abc import Callable
+from typing import Any, NamedTuple
+
+_MAX = sys.float_info.max
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -49,14 +61,53 @@ class ToleranceError(RepoOptionsError):
     exit_code = EXIT_PRICING
 
 
+def short_repr(x: Any) -> str:
+    """``repr(x)``, or its first 57 characters and ``...`` when it is over 60 long."""
+    text = repr(x)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+class Rule(NamedTuple):
+    """A field rule: ``test(value)`` is true inside the model's domain, which ``text`` names."""
+
+    test: Callable[[Any], bool]
+    text: str
+
+
+# chained comparisons: exact for an int, false for nan and the infinities
+FINITE = Rule(lambda v: -_MAX <= v <= _MAX, "finite")
+POSITIVE = Rule(lambda v: 0.0 < v <= _MAX, "> 0")
+NON_NEGATIVE = Rule(lambda v: 0.0 <= v <= _MAX, ">= 0")
+RATE = Rule(lambda v: -1.0 < v <= _MAX, "> -1")
+HAIRCUT = Rule(lambda v: -_MAX <= v < 1.0, "< 1")
+COUNT = Rule(lambda v: isinstance(v, int) and not isinstance(v, bool) and 1 <= v <= _MAX,
+             "an integer >= 1 that a float can hold")
+
+
+def require(rule: Rule, **values: Any) -> None:
+    """Raise the refusal of the first of ``values``, in order, that breaks ``rule``."""
+    for name, value in values.items():
+        if not rule.test(value):
+            raise ValidationError(f"{name} must be {rule.text}, got {short_repr(value)}")
+
+
 class CheckedRecord:
-    """Base, listed before its NamedTuple of fields, of a record whose ``_check(self)``
-    raises ValidationError: the constructor, ``_make`` and ``_replace`` all run it."""
+    """Base, listed before its NamedTuple of fields, of a record that checks its fields
+    on every construction path (the constructor, ``_make`` and ``_replace``): each
+    ``(field, rule)`` of ``_rules`` in order, then ``_check(self)``, the record's own
+    model rules; the first broken one raises ValidationError."""
 
     __slots__ = ()
+    _rules: tuple[tuple[str, Rule], ...] = ()
 
     def __init__(self, *args, **kwargs):
-        self._check()  # the NamedTuple's __new__ has set the fields
+        for name, rule in self._rules:  # the NamedTuple's __new__ has set the fields
+            if not rule.test(getattr(self, name)):
+                require(rule, **{name: getattr(self, name)})  # raises its refusal
+        self._check()
+
+    def _check(self) -> None:
+        pass
 
     @classmethod
     def _make(cls, iterable):  # _replace builds through _make

@@ -30,7 +30,8 @@ from collections.abc import Iterable, Sequence
 from typing import NamedTuple
 
 from .blackscholes import BsInputs, bs_call, bs_prices
-from .errors import CheckedRecord, PricingError, ToleranceError, ValidationError
+from .errors import (COUNT, FINITE, NON_NEGATIVE, POSITIVE, CheckedRecord, PricingError,
+                     ToleranceError, ValidationError, require)
 from .stochastic import GaussianParams, censored_min_mean, censored_min_sd
 
 VALID_DAY_COUNTS = (360, 365)
@@ -65,19 +66,10 @@ class MarketParams(CheckedRecord, _MarketFields):
     """
 
     __slots__ = ()
+    _rules = (("spot_price", POSITIVE), ("intrinsic_yield", FINITE),
+              ("volatility", NON_NEGATIVE), ("tenor_days", COUNT), ("risk_free_rate", FINITE))
 
     def _check(self):
-        if not (math.isfinite(self.spot_price) and self.spot_price > 0.0):
-            raise ValidationError(f"spot_price must be > 0, got {self.spot_price!r}")
-        if not math.isfinite(self.intrinsic_yield):
-            raise ValidationError("intrinsic_yield must be finite")
-        if not (math.isfinite(self.volatility) and self.volatility >= 0.0):
-            raise ValidationError(f"volatility must be >= 0, got {self.volatility!r}")
-        if not isinstance(self.tenor_days, int) or isinstance(self.tenor_days, bool) \
-                or self.tenor_days < 1:
-            raise ValidationError(f"tenor_days must be an integer >= 1, got {self.tenor_days!r}")
-        if not math.isfinite(self.risk_free_rate):
-            raise ValidationError("risk_free_rate must be finite")
         if self.day_count not in VALID_DAY_COUNTS:
             raise ValidationError(f"day_count must be one of {VALID_DAY_COUNTS}, "
                                   f"got {self.day_count!r}")
@@ -132,8 +124,7 @@ def strike_from_sigma_multiple(m: MarketParams, k: float) -> float:
 
     repurchase = (1 - k * volatility * sqrt(tenor/day_count)) * forward_mean
     """
-    if not (math.isfinite(k) and k >= 0.0):
-        raise ValidationError(f"sigma multiple must be >= 0, got {k!r}")
+    require(NON_NEGATIVE, sigma_multiple=k)
     strike = (1.0 - k * m.volatility * math.sqrt(m.period_years)) * forward_gaussian(m).mean
     if strike <= 0.0:
         raise ValidationError(f"sigma multiple {k} places the repurchase price at "

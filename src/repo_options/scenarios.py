@@ -45,7 +45,7 @@ from pathlib import Path
 from typing import Any, Mapping, NamedTuple
 
 from .dealer import DealerScenario
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, short_repr
 from .general_repo import MarketParams, strike_from_sigma_multiple
 from .special_repo import SpecialRepoRelations, build_special_relations, max_fed_fee
 
@@ -167,12 +167,6 @@ def _valid(schema: Mapping[str, Any], x: Any) -> bool:
     return all(keyword is None for _, keyword, _ in errors)
 
 
-def _short(x: Any) -> str:
-    """``repr(x)``, or its first 57 characters and ``...`` when it is over 60 long."""
-    text = repr(x)
-    return text if len(text) <= 60 else text[:57] + "..."
-
-
 def _walk(schema: Mapping[str, Any], x: Any, path: tuple, out: list) -> None:
     """Append ``(path, keyword, message)`` for each way ``x`` breaks ``schema``, and
     keyword None for an integer no float can hold (the engines compute in floats)."""
@@ -182,18 +176,18 @@ def _walk(schema: Mapping[str, Any], x: Any, path: tuple, out: list) -> None:
     for key, value in schema.items():
         if key == "type":
             if not _is_type(x, value):
-                out.append((path, key, f"{_short(x)} is not of type {value!r}"))
+                out.append((path, key, f"{short_repr(x)} is not of type {value!r}"))
         elif key in ("enum", "const"):
             # JSON equality: 360.0 equals 360, but true is not 1
             options = value if key == "enum" else [value]
             if not any(x == v and isinstance(x, bool) == isinstance(v, bool) for v in options):
-                out.append((path, key, f"{_short(x)} is not one of {options!r}"))
+                out.append((path, key, f"{short_repr(x)} is not one of {options!r}"))
         elif key in _BOUNDS:
             if _is_type(x, "number") and _BOUNDS[key](x, value):
-                out.append((path, key, f"{_short(x)} breaks {key} {value!r}"))
+                out.append((path, key, f"{short_repr(x)} breaks {key} {value!r}"))
         elif key == "minLength":
             if isinstance(x, str) and len(x) < value:
-                out.append((path, key, f"{_short(x)} is too short"))
+                out.append((path, key, f"{short_repr(x)} is too short"))
         elif not isinstance(x, dict) and key in ("required", "properties", "additionalProperties"):
             continue
         elif key == "required":
@@ -205,17 +199,18 @@ def _walk(schema: Mapping[str, Any], x: Any, path: tuple, out: list) -> None:
         elif key == "additionalProperties":
             extras = sorted((k for k in x if k not in schema.get("properties", ())), key=str)
             if extras:
-                out.append((path, key, f"properties {', '.join(map(_short, extras))} not allowed"))
+                names = ", ".join(map(short_repr, extras))
+                out.append((path, key, f"properties {names} not allowed"))
         elif key == "allOf":
             for sub in value:
                 _walk(sub, x, path, out)
         elif key in ("anyOf", "oneOf"):
             passed = sum(_valid(sub, x) for sub in value)
             if passed == 0 or key == "oneOf" and passed > 1:
-                out.append((path, key, f"{_short(x)} matches {passed} of its {key} schemas"))
+                out.append((path, key, f"{short_repr(x)} matches {passed} of its {key} schemas"))
         elif key == "not":
             if _valid(value, x):
-                out.append((path, key, f"{_short(x)} should not be valid under {value!r}"))
+                out.append((path, key, f"{short_repr(x)} should not be valid under {value!r}"))
         elif key == "if":
             if "then" in schema and _valid(value, x):
                 _walk(schema["then"], x, path, out)

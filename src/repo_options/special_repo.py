@@ -24,11 +24,10 @@ rates only; annualize at the reporting layer.  Given consistent inputs:
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 from .blackscholes import bs_put
-from .errors import CheckedRecord, ValidationError
+from .errors import FINITE, HAIRCUT, POSITIVE, RATE, CheckedRecord, ValidationError, require
 from .general_repo import MarketParams, bs_inputs, forward_gaussian
 from .stochastic import put_payoff_mean
 
@@ -66,12 +65,14 @@ class SpecialRepoRelations(CheckedRecord, _RelationsFields):
 
     general_rate, special_rate, general_haircut, special_haircut and
     fee_rate are per-period fractions; max_fee and general_lend are
-    currency amounts for the given spot value.  A tuple whose balance
-    residual exceeds REGIME_TOLERANCE raises ValidationError on every
-    construction path.
+    currency amounts for the given spot value.  A tuple with a rate <= -1,
+    a haircut >= 1 or a balance residual over REGIME_TOLERANCE raises
+    ValidationError on every construction path; the last three fields are unchecked.
     """
 
     __slots__ = ()
+    _rules = (("general_rate", RATE), ("special_rate", RATE),
+              ("general_haircut", HAIRCUT), ("special_haircut", HAIRCUT))
 
     def _check(self):
         residual = self.balance_residual()
@@ -110,22 +111,15 @@ def price_lender_fail(m: MarketParams, repurchase_price: float) -> SpecialLender
     )
 
 
-def _check_finite(**values: float) -> None:
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValidationError(f"{name} must be finite, got {value!r}")
-
-
 def fed_fee_rate(general_rate: float, special_rate: float,
                  general_haircut: float) -> float:
     """Auction fee rate (fraction of collateral value), per period.
 
     (general_rate - special_rate) * (1 - general_haircut) / (1 + special_rate)
+    for finite general_rate and general_haircut and special_rate > -1.
     """
-    _check_finite(general_rate=general_rate, special_rate=special_rate,
-                  general_haircut=general_haircut)
-    if special_rate <= -1.0:
-        raise ValidationError(f"special_rate must be > -1, got {special_rate!r}")
+    require(FINITE, general_rate=general_rate, general_haircut=general_haircut)
+    require(RATE, special_rate=special_rate)
     return (general_rate - special_rate) * (1.0 - general_haircut) / (1.0 + special_rate)
 
 
@@ -134,15 +128,12 @@ def max_fed_fee(spot_price: float, special_haircut: float, general_rate: float,
     """Largest auction fee the dealer can fund, in currency units.
 
     spot * (1 - special_haircut) * (general_rate - special_rate) / (1 + general_rate)
+    for spot_price > 0, special_haircut < 1, general_rate > -1 and finite special_rate.
     """
-    _check_finite(spot_price=spot_price, special_haircut=special_haircut,
-                  general_rate=general_rate, special_rate=special_rate)
-    if spot_price <= 0.0:
-        raise ValidationError(f"spot_price must be > 0, got {spot_price!r}")
-    if special_haircut >= 1.0:
-        raise ValidationError(f"special_haircut must be < 1, got {special_haircut!r}")
-    if general_rate <= -1.0:
-        raise ValidationError(f"general_rate must be > -1, got {general_rate!r}")
+    require(FINITE, special_rate=special_rate)
+    require(POSITIVE, spot_price=spot_price)
+    require(HAIRCUT, special_haircut=special_haircut)
+    require(RATE, general_rate=general_rate)
     return (spot_price * (1.0 - special_haircut) * (general_rate - special_rate)
             / (1.0 + general_rate))
 
@@ -153,11 +144,10 @@ def haircut_from_rates(general_haircut: float, general_rate: float,
 
     (general_haircut * (1 + general_rate) - (general_rate - special_rate))
         / (1 + special_rate)
+    for finite general_haircut and general_rate and special_rate > -1.
     """
-    _check_finite(general_haircut=general_haircut, general_rate=general_rate,
-                  special_rate=special_rate)
-    if special_rate <= -1.0:
-        raise ValidationError(f"special_rate must be > -1, got {special_rate!r}")
+    require(FINITE, general_haircut=general_haircut, general_rate=general_rate)
+    require(RATE, special_rate=special_rate)
     return ((general_haircut * (1.0 + general_rate) - (general_rate - special_rate))
             / (1.0 + special_rate))
 
@@ -168,11 +158,10 @@ def rate_from_haircuts(general_haircut: float, special_haircut: float,
 
     (general_rate - general_haircut * (1 + general_rate) + special_haircut)
         / (1 - special_haircut)
+    for finite general_haircut and general_rate and special_haircut < 1.
     """
-    _check_finite(general_haircut=general_haircut, special_haircut=special_haircut,
-                  general_rate=general_rate)
-    if special_haircut >= 1.0:
-        raise ValidationError(f"special_haircut must be < 1, got {special_haircut!r}")
+    require(FINITE, general_haircut=general_haircut, general_rate=general_rate)
+    require(HAIRCUT, special_haircut=special_haircut)
     return ((general_rate - general_haircut * (1.0 + general_rate) + special_haircut)
             / (1.0 - special_haircut))
 
@@ -185,12 +174,12 @@ def build_special_relations(spot_price: float, general_haircut: float,
 
     Exactly one of special_haircut / special_rate may be omitted; it is
     derived from the balance identity.  If both are given they must already
-    satisfy the identity to within 1e-9.
+    satisfy the identity to within 1e-9.  Domain: spot_price > 0, both rates
+    > -1 and both haircuts < 1 (each function above checks its own part).
     """
     if special_haircut is None and special_rate is None:
         raise ValidationError("need special_haircut or special_rate (or both)")
-    if spot_price <= 0.0 or not math.isfinite(spot_price):
-        raise ValidationError(f"spot_price must be > 0, got {spot_price!r}")
+    require(POSITIVE, spot_price=spot_price)
     if special_rate is None:
         special_rate = rate_from_haircuts(general_haircut, special_haircut, general_rate)
     elif special_haircut is None:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import CheckedRecord, ValidationError
+from .errors import FINITE, NON_NEGATIVE, CheckedRecord
 
 SQRT_2 = math.sqrt(2.0)
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -48,12 +48,7 @@ class GaussianParams(CheckedRecord, _GaussianFields):
     """
 
     __slots__ = ()
-
-    def _check(self):
-        if not math.isfinite(self.mean):
-            raise ValidationError(f"forward mean must be finite, got {self.mean!r}")
-        if not (math.isfinite(self.sd) and self.sd >= 0.0):
-            raise ValidationError(f"forward sd must be finite and >= 0, got {self.sd!r}")
+    _rules = (("mean", FINITE), ("sd", NON_NEGATIVE))
 
 
 def std_normal_pdf(x: float) -> float:
