@@ -22,102 +22,44 @@ Subpackage map:
   boundary (schemas shipped under ``repo_options/schemas/``);
 * :mod:`repo_options.reference` — bundled reference cases;
 * :mod:`repo_options.cli` — ``repo-options`` command-line tool.
+
+``import repo_options`` runs none of them: each name in ``__all__`` loads its
+defining module on first use.
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .blackscholes import BsInputs, bs_call, bs_prices, bs_put
-from .dealer import (
-    CashflowReport,
-    DealerScenario,
-    LedgerStep,
-    LiquidityCondition,
-    check_liquidity,
-    run_dealer_scenario,
-)
-from .errors import (
-    LiquidityError,
-    ParseError,
-    PricingError,
-    RepoOptionsError,
-    ToleranceError,
-    ValidationError,
-)
-from .general_repo import (
-    GeneralRepoQuote,
-    MarketParams,
-    bs_haircut,
-    bs_haircut_ladder,
-    forward_gaussian,
-    haircut_identity_residual,
-    lender_rate_from_bs,
-    price_general_ladder,
-    price_general_repo,
-    strike_from_sigma_multiple,
-)
-from .montecarlo import McEstimate, mc_sample_stats
-from .reference import build_reference_rows, reference_market
-from .scenarios import Scenario, load_scenario, parse_scenario
-from .special_repo import (
-    SpecialLenderQuote,
-    SpecialRepoRelations,
-    build_special_relations,
-    classify_regime,
-    fed_fee_rate,
-    max_fed_fee,
-    price_lender_fail,
-)
-from .stochastic import (
-    GaussianParams,
-    censored_min_mean,
-    censored_min_sd,
-    put_payoff_mean,
-)
+#: Each public name, grouped by the module that defines it.
+_EXPORTS = {
+    "blackscholes": ("BsInputs", "bs_call", "bs_prices", "bs_put"),
+    "dealer": ("CashflowReport", "DealerScenario", "LedgerStep", "LiquidityCondition",
+               "check_liquidity", "run_dealer_scenario"),
+    "errors": ("LiquidityError", "ParseError", "PricingError", "RepoOptionsError",
+               "ToleranceError", "ValidationError"),
+    "general_repo": ("GeneralRepoQuote", "MarketParams", "bs_haircut", "bs_haircut_ladder",
+                     "forward_gaussian", "haircut_identity_residual", "lender_rate_from_bs",
+                     "price_general_ladder", "price_general_repo", "strike_from_sigma_multiple"),
+    "montecarlo": ("McEstimate", "mc_sample_stats"),
+    "reference": ("build_reference_rows", "reference_market"),
+    "scenarios": ("Scenario", "load_scenario", "parse_scenario"),
+    "special_repo": ("SpecialLenderQuote", "SpecialRepoRelations", "build_special_relations",
+                     "classify_regime", "fed_fee_rate", "max_fed_fee", "price_lender_fail"),
+    "stochastic": ("GaussianParams", "censored_min_mean", "censored_min_sd", "put_payoff_mean"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "BsInputs",
-    "bs_call",
-    "bs_prices",
-    "bs_put",
-    "CashflowReport",
-    "DealerScenario",
-    "LedgerStep",
-    "LiquidityCondition",
-    "check_liquidity",
-    "run_dealer_scenario",
-    "LiquidityError",
-    "ParseError",
-    "PricingError",
-    "RepoOptionsError",
-    "ToleranceError",
-    "ValidationError",
-    "GeneralRepoQuote",
-    "MarketParams",
-    "bs_haircut",
-    "bs_haircut_ladder",
-    "forward_gaussian",
-    "haircut_identity_residual",
-    "lender_rate_from_bs",
-    "price_general_ladder",
-    "price_general_repo",
-    "strike_from_sigma_multiple",
-    "McEstimate",
-    "mc_sample_stats",
-    "build_reference_rows",
-    "reference_market",
-    "Scenario",
-    "load_scenario",
-    "parse_scenario",
-    "SpecialLenderQuote",
-    "SpecialRepoRelations",
-    "build_special_relations",
-    "classify_regime",
-    "fed_fee_rate",
-    "max_fed_fee",
-    "price_lender_fail",
-    "GaussianParams",
-    "censored_min_mean",
-    "censored_min_sd",
-    "put_payoff_mean",
-]
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name):
+    """Import the module that defines ``name``, and keep the name here for later lookups."""
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -23,7 +23,7 @@ import math
 from collections.abc import Iterable
 from typing import NamedTuple
 
-from .errors import FINITE, NON_NEGATIVE, POSITIVE, CheckedRecord, ValidationError
+from .errors import FINITE, NON_NEGATIVE, POSITIVE, CheckedRecord, require
 from .stochastic import std_normal_cdf
 
 
@@ -59,8 +59,8 @@ def bs_prices(b: BsInputs, strikes: Iterable[float], put: bool = False) -> list[
     drift = (b.rate + 0.5 * b.vol * b.vol) * b.tenor
     spot, prices = b.spot, []
     for strike in strikes:
-        if not (math.isfinite(strike) and strike > 0.0):
-            raise ValidationError(f"strike must be > 0, got {strike!r}")
+        if not POSITIVE.test(strike):
+            require(POSITIVE, strike=strike)  # raises its refusal
         discounted_strike = strike * discount
         if srt == 0.0 or discounted_strike == math.inf:
             prices.append(max(discounted_strike - spot if put else spot - discounted_strike, 0.0))

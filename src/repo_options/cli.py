@@ -45,6 +45,7 @@ from .errors import (
     ParseError,
     RepoOptionsError,
     ValidationError,
+    short_repr,
 )
 from .general_repo import (
     VALID_DAY_COUNTS,
@@ -252,10 +253,13 @@ def compare_bs_report(scenario: Scenario, strikes: list[float]) -> dict:
 
 
 def _parse_strikes(text: str) -> list[float]:
-    try:
-        values = [float(token) for token in text.split(",") if token.strip()]
-    except ValueError as exc:
-        raise ParseError(f"cannot parse --strikes list {text!r}: {exc}") from exc
+    values = []
+    for token in filter(str.strip, text.split(",")):
+        try:
+            values.append(float(token))
+        except ValueError as exc:  # float's own message would echo the token in full
+            raise ParseError(f"cannot parse --strikes list {short_repr(text)}: could not "
+                             f"convert string to float: {short_repr(token)}") from exc
     if not values:
         raise ParseError("--strikes list is empty")
     return values

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 from .blackscholes import BsInputs, bs_call, bs_prices
 from .errors import (COUNT, FINITE, NON_NEGATIVE, POSITIVE, CheckedRecord, PricingError,
-                     ToleranceError, ValidationError, require)
+                     ToleranceError, ValidationError, require, short_repr)
 from .stochastic import GaussianParams, censored_min_mean, censored_min_sd
 
 VALID_DAY_COUNTS = (360, 365)
@@ -148,9 +148,9 @@ def price_general_ladder(m: MarketParams, strikes: Iterable[float]) -> list[Gene
     """
     quotes = []
     for repurchase_price in strikes:
-        if not (math.isfinite(repurchase_price) and repurchase_price > 0.0):
+        if not POSITIVE.test(repurchase_price):
             raise ValidationError(
-                f"repurchase_price must be finite and > 0, got {repurchase_price!r}")
+                f"repurchase_price must be finite and > 0, got {short_repr(repurchase_price)}")
         if not quotes:
             g = forward_gaussian(m)
             if g.sd == 0.0:

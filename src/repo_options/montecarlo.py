@@ -41,7 +41,7 @@ import math
 import os
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import PricingError, ValidationError
+from .errors import PricingError, ValidationError, short_repr
 from .stochastic import GaussianParams
 
 if TYPE_CHECKING:
@@ -183,11 +183,11 @@ def mc_sample_stats(strike: float, g: GaussianParams, n: int, seed: int,
     Raises PricingError when M2 * M2 underflows (se_sd is then undefined).
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise ValidationError(f"need n >= 2 samples for a standard deviation, got {n!r}")
+        raise ValidationError(f"need n >= 2 samples for a standard deviation, got {short_repr(n)}")
     if mode not in MODES:
-        raise ValidationError(f"unknown mode {mode!r}; expected one of {MODES}")
+        raise ValidationError(f"unknown mode {short_repr(mode)}; expected one of {MODES}")
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
+        raise ValidationError(f"seed must be a non-negative integer, got {short_repr(seed)}")
 
     import numpy as np
 

@@ -166,3 +166,5 @@ def test_a_ladder_prices_each_strike_as_alone(market):
             alone(BsInputs(strike=k, **market)).hex() for k in strikes]
     with pytest.raises(ValidationError, match="strike must be > 0, got inf"):
         bs_prices(b, [100.0, math.inf])
+    with pytest.raises(ValidationError, match="strike must be > 0, got 10{56}\\.\\.\\.$"):
+        bs_prices(b, [100.0, 10**400])  # an int past the float range

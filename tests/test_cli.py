@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, formats, determinism, dispatch."""
 
 import contextlib
+import importlib
 import io
 import json
 import math
@@ -224,6 +225,37 @@ def test_compare_bs_non_finite_strike_names_finiteness(capsys, strike):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"repurchase_price must be finite and > 0, got {strike}" in captured.err
+
+
+_BS = repo_options.BsInputs(spot=100.0, strike=90.0, rate=0.01, vol=0.2, tenor=0.5)
+_G = repo_options.GaussianParams(mean=100.0, sd=10.0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: main(["compare-bs", GENERAL, "--strikes", "1," + "x" * 12000]),
+     "cannot parse --strikes list '1," + "x" * 54 + "...: could not convert string to float: '"
+     + "x" * 56 + "..."),
+    (lambda: main(["compare-bs", GENERAL, "--strikes", "1, x"]),
+     "cannot parse --strikes list '1, x': could not convert string to float: ' x'"),
+    (lambda: main(["price-general", GENERAL, "--seed=-" + "9" * 4000]),
+     "seed must be a non-negative integer, got -" + "9" * 56 + "..."),
+    (lambda: repo_options.price_general_repo(repo_options.reference_market(), 10**400),
+     "repurchase_price must be finite and > 0, got 1" + "0" * 56 + "..."),
+    (lambda: repo_options.bs_prices(_BS, [10**400]), "strike must be > 0, got 1" + "0" * 56 + "..."),
+    (lambda: repo_options.mc_sample_stats(100.0, _G, "2" * 100, 0, "min"),
+     "need n >= 2 samples for a standard deviation, got '" + "2" * 56 + "..."),
+    (lambda: repo_options.mc_sample_stats(100.0, _G, 2, 0, "m" * 100),
+     "unknown mode '" + "m" * 56 + "...; expected one of ('min', 'put-payoff')"),
+], ids=["long-strikes", "short-strikes", "seed", "repurchase_price", "bs-strike", "n", "mode"])
+def test_refusals_cap_the_values_they_echo(capsys, call, message):
+    """A refusal echoes at most the first 60 characters of a value's repr
+    (``errors.short_repr``), however long the value."""
+    try:
+        call()
+    except repo_options.RepoOptionsError as exc:
+        assert str(exc) == message
+    else:
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def _write_scenario(tmp_path, base, edit) -> str:
@@ -1002,6 +1034,8 @@ def test_bundled_outputs_match_golden():
 # Runs in a fresh interpreter because pytest has already imported numpy.
 _HEAVY_IMPORT_PROBE = """
 import contextlib, io, json, sys
+import repo_options
+bare = sorted(m for m in sys.modules if m.startswith("repo_options.") or m == "numpy")
 from repo_options.cli import main
 
 def loaded(*argv):
@@ -1015,6 +1049,7 @@ def loaded(*argv):
 
 general, general_mc, special, relations, dealer = sys.argv[1:]
 print(json.dumps([
+    bare,
     loaded(),
     loaded("reproduce-examples", "--format", "csv"),
     loaded("price-general", general, "--format", "json"),
@@ -1039,6 +1074,8 @@ def test_heavy_imports_load_only_when_used():
     ``dataclasses`` never loads: the records are NamedTuples.  Nor does
     ``inspect`` without numpy (``import numpy`` loads it).  ``csv`` never loads:
     the CSV renderer quotes its fields itself, so no command pays for the module.
+    ``import repo_options`` alone loads no submodule, nor numpy: each exported name
+    loads its module on first use.
     """
     package_root = str(Path(repo_options.__file__).resolve().parent.parent)
     result = subprocess.run(
@@ -1050,7 +1087,9 @@ def test_heavy_imports_load_only_when_used():
         env={**os.environ, "PYTHONPATH": package_root},
     )
     assert result.returncode == 0, result.stderr
-    after_import, after_reproduce, after_price, after_csv, after_oracle = json.loads(result.stdout)
+    (bare, after_import, after_reproduce, after_price, after_csv,
+     after_oracle) = json.loads(result.stdout)
+    assert bare == []
     assert after_import == []
     assert after_reproduce == []
     assert after_price == []
@@ -1115,3 +1154,22 @@ def test_exported_record_contract(name):
                       lambda: record._make(bad_fields.values())):
             with pytest.raises(repo_options.ValidationError):
                 build()
+
+
+def test_each_export_is_its_defining_modules_own_object():
+    """Each name of ``__all__`` resolves, on first use, to the very object its module
+    defines; ``import *`` binds them all, a submodule still imports by name, and an
+    unknown name raises AttributeError naming it."""
+    for name in repo_options.__all__:
+        module = repo_options._MODULE_OF.get(name)
+        owner = importlib.import_module(f"repo_options.{module}") if module else repo_options
+        assert getattr(repo_options, name) is getattr(owner, name), name
+    assert set(repo_options.__all__) <= set(dir(repo_options))
+    namespace: dict = {}
+    exec("from repo_options import *", namespace)
+    assert {name: namespace[name] for name in repo_options.__all__} == {
+        name: getattr(repo_options, name) for name in repo_options.__all__}
+    exec("from repo_options import errors", namespace)
+    assert namespace["errors"] is importlib.import_module("repo_options.errors")
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        repo_options.no_such_name  # noqa: B018

@@ -459,6 +459,7 @@ _WIDE = MarketParams(spot_price=1.0, intrinsic_yield=0.0, volatility=10.0,
     (MARKET, _LADDER, math.inf, ValidationError),
     (MARKET, _LADDER, math.nan, ValidationError),
     (MARKET, _LADDER, -1.0, ValidationError),
+    pytest.param(MARKET, _LADDER, 10**400, ValidationError, id="int-past-float-range"),
     (MARKET, _LADDER, 150000.0, PricingError),  # non-positive haircut
     (_WIDE, [25.0 + i for i in range(16)], 0.5, PricingError),  # non-positive lent amount
     (MARKET, _LADDER, None, ToleranceError),  # identity residual, planted below
