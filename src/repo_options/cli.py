@@ -33,6 +33,7 @@ cannot be written), 3 validation error, 4 pricing or tolerance failure,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -45,6 +46,7 @@ from .errors import (
     ParseError,
     RepoOptionsError,
     ValidationError,
+    capped,
     short_repr,
 )
 from .general_repo import (
@@ -303,8 +305,20 @@ _COMMANDS = (
 )
 
 
+#: What argparse echoes in a usage error: a str repr ('...' or "...") or a bare argument.
+_ECHOED = re.compile(r"""'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*"|\S+""")
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose usage errors cap each echoed value at 60 characters
+    (``errors.capped``); ``add_subparsers`` builds the command parsers of this class."""
+
+    def error(self, message: str):
+        super().error(_ECHOED.sub(lambda m: capped(m[0]), message))
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repo-options",
         description="Price the options implicit in collateralised lending: "
         "general-repo haircuts, lender-fail premiums, rate/haircut algebra, "

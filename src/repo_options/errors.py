@@ -61,10 +61,21 @@ class ToleranceError(RepoOptionsError):
     exit_code = EXIT_PRICING
 
 
-def short_repr(x: Any) -> str:
-    """``repr(x)``, or its first 57 characters and ``...`` when it is over 60 long."""
-    text = repr(x)
+def capped(text: str) -> str:
+    """``text``, or its first 57 characters and ``...`` when it is over 60 long."""
     return text if len(text) <= 60 else text[:57] + "..."
+
+
+def short_repr(x: Any) -> str:
+    """``capped(repr(x))``.  It never raises, since it words refusals that a failure here
+    would replace: an int past ``sys.get_int_max_str_digits()`` digits, which ``repr``
+    refuses, shows its bit length and sign, and a failing ``repr`` the type's name."""
+    try:
+        text = repr(x)
+    except Exception:
+        text = (f"<int of {x.bit_length()} bits{', negative' if x < 0 else ''}>"
+                if isinstance(x, int) else f"<{type(x).__name__} object>")
+    return capped(text)
 
 
 class Rule(NamedTuple):

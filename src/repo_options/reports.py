@@ -203,11 +203,11 @@ def _flatten_into(value: Any, prefix: str, rows: list[tuple[str, Any]]) -> None:
             _flatten_into(item, path, rows)
 
 
-def flatten(value: Any, prefix: str = "") -> list[tuple[str, Any]]:
+def flatten(value: Any) -> list[tuple[str, Any]]:
     """Flatten nested dicts/lists (exact types only) into ``(dotted.path[index], value)`` rows."""
 
     rows: list[tuple[str, Any]] = []
-    _flatten_into(value, prefix, rows)
+    _flatten_into(value, "", rows)
     return rows
 
 

@@ -258,6 +258,28 @@ def test_refusals_cap_the_values_they_echo(capsys, call, message):
         assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["price-general", GENERAL, "--format", "x" * 3000],
+     "repo-options price-general: error: argument --format: invalid choice: '"
+     + "x" * 56 + "... (choose from "),
+    (["price-general", GENERAL, "--seed=-" + "9" * 5000],
+     "repo-options price-general: error: argument --seed: invalid int value: '-"
+     + "9" * 55 + "..."),
+    (["y" * 3000], "repo-options: error: argument command: invalid choice: '"
+     + "y" * 56 + "... (choose from "),
+    (["price-general", GENERAL, "z" * 3000],
+     "repo-options: error: unrecognized arguments: " + "z" * 57 + "..."),
+], ids=["format", "seed", "command", "extra-argument"])
+def test_usage_errors_cap_the_values_they_echo(capsys, argv, error):
+    """argparse's own usage errors keep exit code 2, the usage and their wording
+    (the choices list is argparse's), and echo at most 60 characters of a value."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: repo-options")
+    assert err.splitlines()[-1].startswith(error)
+    assert len(err) < 400
+
+
 def _write_scenario(tmp_path, base, edit) -> str:
     doc = json.loads(Path(base).read_text("utf-8"))
     edit(doc)

@@ -7,8 +7,8 @@ from typing import NamedTuple
 
 import pytest
 
-from repo_options import ValidationError, errors
-from repo_options.errors import POSITIVE, CheckedRecord, require
+from repo_options import GaussianParams, MarketParams, ValidationError, errors, mc_sample_stats
+from repo_options.errors import POSITIVE, CheckedRecord, require, short_repr
 
 
 class _Field(NamedTuple):
@@ -76,3 +76,26 @@ def test_require_refuses_the_first_bad_value_in_order():
     require(POSITIVE, a=1.0, b=2)
     with pytest.raises(ValidationError, match=r"^b must be > 0, got 0\.0$"):
         require(POSITIVE, a=1.0, b=0.0, c=-1.0)
+
+
+class _BrokenRepr:
+    def __repr__(self):
+        raise RuntimeError("no repr")
+
+
+@pytest.mark.parametrize("value, shown", [
+    (10**5000, "<int of 16610 bits>"),  # repr raises past sys.get_int_max_str_digits()
+    (-10**5000, "<int of 16610 bits, negative>"),
+    (_BrokenRepr(), "<_BrokenRepr object>"),
+], ids=["int-past-str-digits", "negative-int-past-str-digits", "failing-repr"])
+def test_short_repr_never_raises(value, shown):
+    assert short_repr(value) == shown
+
+
+@pytest.mark.parametrize("call, field", [
+    (lambda: MarketParams(100.0, 0.03, 0.19, 10**5000, 0.0, 360), "tenor_days"),
+    (lambda: mc_sample_stats(1.0, GaussianParams(1.0, 1.0), 2, -10**5000, "min"), "seed"),
+], ids=["MarketParams-tenor_days", "mc_sample_stats-seed"])
+def test_an_int_past_the_str_digit_limit_is_refused_typed(call, field):
+    with pytest.raises(ValidationError, match=f"^{field} must be .*, got <int of 16610 bits"):
+        call()

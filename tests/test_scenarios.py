@@ -289,26 +289,30 @@ def test_scenario_files_validate_against_schema_directly():
         validator.validate(json.loads(path.read_text("utf-8")))
 
 
-@pytest.mark.parametrize("where, addition", [
-    (("properties", "market", "properties", "currency"), {"pattern": "^[A-Z]{3}$"}),
-    (("properties", "terms"), {"type": "array"}),
-    (("properties", "mc"), {"additionalProperties": {"type": "integer"}}),
-    (("$defs", "dealer_terms"), {"$ref": "https://example.com/dealer.json"}),
-    (("properties", "market", "properties"), {"currency": True}),
-])
-def test_unsupported_schema_keyword_refused_at_load(monkeypatch, where, addition):
-    schema = copy.deepcopy(scenario_schema())
-    node = schema
-    for key in where:
-        node = node[key]
-    node.update(addition)
-    monkeypatch.setattr(scenarios, "scenario_schema", lambda: schema)
-    scenarios._checked_schema.cache_clear()
-    try:
-        with pytest.raises(NotImplementedError, match="scenario schema"):
-            validate_scenario_data(_general_doc())
-    finally:
-        scenarios._checked_schema.cache_clear()
+# The keywords scenarios._walk interprets, and the ones it reads as annotations or
+# through another keyword ("$defs" through "$ref").
+_INTERPRETED = {"type", "enum", "const", *scenarios._BOUNDS, "minLength", "required",
+                "properties", "additionalProperties", "allOf", "anyOf", "oneOf", "not", "if",
+                "then", "$ref"}
+_SKIPPED = {"$schema", "$id", "title", "description", "$defs"}
+
+
+def _subschemas(schema):
+    yield schema
+    nested = [schema[key] for key in ("not", "if", "then") if key in schema]
+    nested += [*schema.get("allOf", ()), *schema.get("anyOf", ()), *schema.get("oneOf", ())]
+    nested += [*schema.get("properties", {}).values(), *schema.get("$defs", {}).values()]
+    for sub in nested:
+        yield from _subschemas(sub)
+
+
+def test_packaged_schema_uses_only_interpreted_keywords():
+    """Validation reads only the keywords above and closes objects only with
+    ``additionalProperties: false``, so a schema edit that adds another keyword
+    (``pattern``, ``maxLength``) or another ``additionalProperties`` fails here."""
+    for sub in _subschemas(scenario_schema()):
+        assert not sub.keys() - _INTERPRETED - _SKIPPED, sub
+        assert sub.get("additionalProperties", False) is False, sub
 
 
 _REFERENCE = jsonschema.Draft202012Validator(scenario_schema())
