@@ -33,6 +33,7 @@ cannot be written), 3 validation error, 4 pricing or tolerance failure,
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from pathlib import Path
@@ -356,6 +357,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
 
+    # The oracle calls no BLAS routine, so OpenBLAS's idle worker threads would only burn
+    # CPU.  OpenBLAS reads this when numpy loads, which in a CLI process happens only for
+    # an oracle run, after this point.  A value the caller set stays.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:
@@ -370,7 +375,8 @@ def main(argv: list[str] | None = None) -> int:
             try:
                 Path(args.out).write_text(text, "utf-8")
             except OSError as exc:
-                raise ParseError(f"cannot write output file {args.out}: {exc}") from exc
+                raise ParseError(f"cannot write output file {capped(args.out)}: "
+                                 f"{exc.strerror or exc}") from exc
         else:
             sys.stdout.write(text)
     except RepoOptionsError as exc:

@@ -42,10 +42,10 @@ import operator
 import sys
 from functools import cache
 from pathlib import Path
-from typing import Any, Mapping, NamedTuple
+from typing import Any, Callable, Mapping, NamedTuple
 
 from .dealer import DealerScenario
-from .errors import ParseError, ValidationError, short_repr
+from .errors import ParseError, ValidationError, capped, short_repr
 from .general_repo import MarketParams, strike_from_sigma_multiple
 from .special_repo import SpecialRepoRelations, build_special_relations, max_fed_fee
 
@@ -56,29 +56,31 @@ MARKET_CONSISTENCY_RTOL = 1e-9
 
 def _read_json(path: str | Path) -> Any:
     """Decode the JSON document in a UTF-8 file; every way that fails is a
-    :class:`ParseError` naming ``path``.  A string holding a lone surrogate
-    (I-JSON, RFC 7493 section 2.1) is refused, since no format could print it."""
+    :class:`ParseError` naming ``path`` (capped at 60 characters).  A string holding
+    a lone surrogate (I-JSON, RFC 7493 section 2.1) is refused, since no format
+    could print it."""
 
+    name = capped(str(path))
     try:
         with open(path, encoding="utf-8") as file:
             text = file.read()
         data = json.loads(text)
         if "\\u" in text:  # only a \u escape decodes to a surrogate; UTF-8 refuses a lone one
             json.dumps(data, ensure_ascii=False).encode("utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+    except OSError as exc:  # its strerror, since str(exc) repeats the whole path
+        raise ParseError(f"cannot read {name}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(
-            f"invalid JSON in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}"
+            f"invalid JSON in {name} at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
     except UnicodeEncodeError as exc:
         raise ParseError(
-            f"invalid JSON in {path}: a string holds the lone surrogate {exc.object[exc.start]!r}"
+            f"invalid JSON in {name}: a string holds the lone surrogate {exc.object[exc.start]!r}"
         ) from exc
     except (ValueError, RecursionError) as exc:
         # bytes that are not UTF-8, an integer literal longer than
         # sys.get_int_max_str_digits(), or nesting past the recursion limit
-        raise ParseError(f"invalid JSON in {path}: {exc}") from exc
+        raise ParseError(f"invalid JSON in {name}: {exc}") from exc
     return data
 
 
@@ -118,74 +120,110 @@ class Scenario(NamedTuple):
     raw: Mapping[str, Any]
 
 
-# Validation interprets exactly the JSON Schema (Draft 2020-12) keywords the scenario
-# schema uses; test_packaged_schema_uses_only_interpreted_keywords pins that set.
+# Validation compiles the JSON Schema (Draft 2020-12) keywords the scenario schema uses
+# into check closures, once per process; test_packaged_schema_uses_only_interpreted_keywords
+# pins that set.  A check appends ``(path, keyword, message)`` for each way ``x`` breaks its
+# subschema, in the subschema's key order, and keyword None for an integer no float can
+# hold (the engines compute in floats).  A bool is no number; 30.0 is an integer.
+_Check = Callable[[Any, tuple, list], None]
 _TYPES = {"object": dict, "string": str, "number": (int, float), "integer": int}
 _BOUNDS = {"minimum": operator.lt, "maximum": operator.gt,
            "exclusiveMinimum": operator.le, "exclusiveMaximum": operator.ge}
 
 
-def _is_type(x: Any, name: str) -> bool:
-    # a bool is no number; an integral float such as 30.0 is an integer
-    return not isinstance(x, bool) and (isinstance(x, _TYPES[name]) or (
-        name == "integer" and isinstance(x, float) and x.is_integer()))
-
-
-def _valid(schema: Mapping[str, Any], x: Any) -> bool:
+def _passes(check: _Check, x: Any) -> bool:
     errors: list = []
-    _walk(schema, x, (), errors)
-    return all(keyword is None for _, keyword, _ in errors)
+    check(x, (), errors)
+    return not errors or all(keyword is None for _, keyword, _ in errors)
 
 
-def _walk(schema: Mapping[str, Any], x: Any, path: tuple, out: list) -> None:
-    """Append ``(path, keyword, message)`` for each way ``x`` breaks ``schema``, and
-    keyword None for an integer no float can hold (the engines compute in floats)."""
+def _compile(schema: Mapping[str, Any], ref: Callable[[str], _Check]) -> _Check:
+    """The check of ``schema``; ``ref(name)`` is the check of ``$defs`` entry ``name``."""
 
-    if type(x) is int and abs(x) > sys.float_info.max:
-        out.append((path, None, "integer beyond the float range"))
+    checks: list[_Check] = []
     for key, value in schema.items():
         if key == "type":
-            if not _is_type(x, value):
-                out.append((path, key, f"{short_repr(x)} is not of type {value!r}"))
+            def check(x, path, out, cls=_TYPES[value], integral=value == "integer",
+                      text=f" is not of type {value!r}"):
+                if x is True or x is False or not (isinstance(x, cls) or integral
+                                                   and isinstance(x, float) and x.is_integer()):
+                    out.append((path, "type", short_repr(x) + text))
         elif key in ("enum", "const"):
             # JSON equality: 360.0 equals 360, but true is not 1
             options = value if key == "enum" else [value]
-            if not any(x == v and isinstance(x, bool) == isinstance(v, bool) for v in options):
-                out.append((path, key, f"{short_repr(x)} is not one of {options!r}"))
+
+            def check(x, path, out, key=key, text=f" is not one of {options!r}",
+                      bools=tuple(v for v in options if isinstance(v, bool)),
+                      others=tuple(v for v in options if not isinstance(v, bool))):
+                if x not in (bools if x is True or x is False else others):
+                    out.append((path, key, short_repr(x) + text))
         elif key in _BOUNDS:
-            if _is_type(x, "number") and _BOUNDS[key](x, value):
-                out.append((path, key, f"{short_repr(x)} breaks {key} {value!r}"))
+            def check(x, path, out, key=key, bound=value, breaks=_BOUNDS[key],
+                      text=f" breaks {key} {value!r}"):
+                if x is not True and x is not False and isinstance(x, (int, float)) \
+                        and breaks(x, bound):
+                    out.append((path, key, short_repr(x) + text))
         elif key == "minLength":
-            if isinstance(x, str) and len(x) < value:
-                out.append((path, key, f"{short_repr(x)} is too short"))
-        elif not isinstance(x, dict) and key in ("required", "properties", "additionalProperties"):
-            continue
+            def check(x, path, out, least=value):
+                if isinstance(x, str) and len(x) < least:
+                    out.append((path, "minLength", f"{short_repr(x)} is too short"))
         elif key == "required":
-            out += [(path, key, f"{k!r} is a required property") for k in value if k not in x]
+            def check(x, path, out, names=value, needed=frozenset(value)):
+                if isinstance(x, dict) and not x.keys() >= needed:
+                    out += [(path, "required", f"{k!r} is a required property")
+                            for k in names if k not in x]
         elif key == "properties":
-            for k, sub in value.items():
-                if k in x:
-                    _walk(sub, x[k], (*path, k), out)
+            def check(x, path, out, subs=[(k, _compile(s, ref)) for k, s in value.items()]):
+                if isinstance(x, dict):
+                    for k, sub in subs:
+                        if k in x:
+                            sub(x[k], (*path, k), out)
         elif key == "additionalProperties":
-            extras = sorted((k for k in x if k not in schema.get("properties", ())), key=str)
-            if extras:
-                names = ", ".join(map(short_repr, extras))
-                out.append((path, key, f"properties {names} not allowed"))
+            def check(x, path, out, allowed=frozenset(schema.get("properties", ()))):
+                if isinstance(x, dict) and not x.keys() <= allowed:
+                    extras = sorted((k for k in x if k not in allowed), key=str)
+                    out.append((path, "additionalProperties",
+                                f"properties {', '.join(map(short_repr, extras))} not allowed"))
         elif key == "allOf":
-            for sub in value:
-                _walk(sub, x, path, out)
+            def check(x, path, out, subs=[_compile(s, ref) for s in value]):
+                for sub in subs:
+                    sub(x, path, out)
         elif key in ("anyOf", "oneOf"):
-            passed = sum(_valid(sub, x) for sub in value)
-            if passed == 0 or key == "oneOf" and passed > 1:
-                out.append((path, key, f"{short_repr(x)} matches {passed} of its {key} schemas"))
+            def check(x, path, out, key=key, subs=[_compile(s, ref) for s in value]):
+                passed = sum(_passes(sub, x) for sub in subs)
+                if passed == 0 or key == "oneOf" and passed > 1:
+                    out.append((path, key, f"{short_repr(x)} matches {passed} of its {key} "
+                                           "schemas"))
         elif key == "not":
-            if _valid(value, x):
-                out.append((path, key, f"{short_repr(x)} should not be valid under {value!r}"))
-        elif key == "if":
-            if "then" in schema and _valid(value, x):
-                _walk(schema["then"], x, path, out)
+            def check(x, path, out, sub=_compile(value, ref),
+                      text=f" should not be valid under {value!r}"):
+                if _passes(sub, x):
+                    out.append((path, "not", short_repr(x) + text))
+        elif key == "if" and "then" in schema:
+            def check(x, path, out, cond=_compile(value, ref), then=_compile(schema["then"], ref)):
+                if _passes(cond, x):
+                    then(x, path, out)
         elif key == "$ref":
-            _walk(scenario_schema()["$defs"][value.removeprefix("#/$defs/")], x, path, out)
+            check = ref(value.removeprefix("#/$defs/"))
+        else:  # "then" (read with "if"), "$defs" (through "$ref") and annotations
+            continue
+        checks.append(check)
+
+    def node(x: Any, path: tuple, out: list, checks: tuple[_Check, ...] = tuple(checks)) -> None:
+        if type(x) is int and abs(x) > sys.float_info.max:
+            out.append((path, None, "integer beyond the float range"))
+        for check in checks:
+            check(x, path, out)
+
+    return node
+
+
+@cache
+def _scenario_check() -> _Check:
+    """The packaged scenario schema, compiled once; so is each ``$defs`` entry it references."""
+    defs = scenario_schema()["$defs"]
+    ref = cache(lambda name: _compile(defs[name], ref))
+    return _compile(scenario_schema(), ref)
 
 
 def validate_scenario_data(data: Any) -> None:
@@ -197,7 +235,7 @@ def validate_scenario_data(data: Any) -> None:
     """
 
     errors: list = []
-    _walk(scenario_schema(), data, (), errors)
+    _scenario_check()(data, (), errors)
     if errors:
         path, _, message = max(errors, key=lambda e: (
             e[1] is not None, -len(e[0]), e[0], e[1] not in ("anyOf", "oneOf")))

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import repo_options
 from repo_options.cli import main
-from repo_options.errors import ParseError, PricingError
+from repo_options.errors import ParseError, PricingError, capped
 from repo_options.montecarlo import CHUNK_SIZE
 from repo_options.reference import build_reference_rows
 from repo_options.reports import FORMATS
@@ -82,8 +82,8 @@ def test_unwritable_out_file_is_exit_2(capsys, tmp_path):
     assert main(["price-general", GENERAL, "--format", "json", "--out", str(target)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: cannot write output file {target}: ")
-    assert captured.err.count("\n") == 1
+    assert captured.err == (f"error: cannot write output file {capped(str(target))}: "
+                            "No such file or directory\n")
     assert not target.parent.exists()
 
 
@@ -406,6 +406,27 @@ def test_missing_file_is_exit_2(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+_LONG_DIR = "/".join(["d" * 199] * 15)  # 2,999 characters, each name under 255 bytes
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    (["price-general", "a" * 3000], "cannot read " + "a" * 57 + "...: File name too long"),
+    (["price-general", _LONG_DIR + "/bad.json"], "invalid JSON in " + "d" * 57
+     + "... at line 1 column 2: Expecting property name enclosed in double quotes"),
+    (["price-general", GENERAL, "--out", "o" * 3000],
+     "cannot write output file " + "o" * 57 + "...: File name too long"),
+], ids=["cannot-read", "invalid-json", "cannot-write"])
+def test_path_refusals_echo_the_path_once_capped(capsys, tmp_path, monkeypatch, argv, refusal):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / _LONG_DIR).mkdir(parents=True)
+    (tmp_path / _LONG_DIR / "bad.json").write_text("{", encoding="utf-8")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {refusal}\n"
+    assert len(captured.err.encode()) < 200
+
+
 def test_invalid_json_is_exit_2(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{", encoding="utf-8")
@@ -443,7 +464,7 @@ _NOT_JSON_TEXT = {
 def test_a_file_that_is_not_json_text_is_exit_2(capsys, tmp_path, name):
     path = tmp_path / "scenario.json"
     path.write_bytes(_NOT_JSON_TEXT[name])
-    with pytest.raises(ParseError, match="^invalid JSON in " + re.escape(str(path))):
+    with pytest.raises(ParseError, match="^invalid JSON in " + re.escape(capped(str(path)))):
         load_scenario(path)
     out = tmp_path / "report.txt"
     for fmt in FORMATS:
@@ -862,6 +883,18 @@ def test_argparse_errors_are_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")])
+def test_main_runs_openblas_on_one_thread_unless_the_caller_chose(
+        capsys, monkeypatch, preset, expected):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "unset")  # so teardown restores the original
+    if preset is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+    assert main(["--version"]) == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == expected
+
+
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert "repo-options" in capsys.readouterr().out
@@ -979,6 +1012,10 @@ options:
   --strikes STRIKES     comma-separated repurchase prices (currency units)
 """,
 }
+if sys.version_info >= (3, 13):
+    # argparse 3.13 wraps a usage between actions only, so the command choices keep
+    # their "..." on one line; the other texts are the same on 3.10 to 3.13
+    _HELP[None] = _HELP[None].replace("compare-bs}\n" + " " * 20 + "...", "compare-bs} ...", 1)
 
 _MISSING_STRIKES = """\
 usage: repo-options compare-bs [-h] [--format {json,csv,table}] [--seed SEED]

@@ -128,6 +128,59 @@ def test_empty_currency_rejected_where_jsonschema_points():
         parse_scenario(doc)
 
 
+def _edited(doc, section=None, drop=(), **values):
+    """``doc`` with ``values`` set and ``drop`` deleted in ``doc[section]`` (or at the top)."""
+    target = doc if section is None else doc[section]
+    for key in drop:
+        del target[key]
+    target.update(values)
+    return doc
+
+
+# One rejected document per keyword validation checks, then ties at one path, where the
+# refusal listed first (by ``required``, or by the subschema's key order) names the error.
+_REFUSALS = [
+    (_general_doc(spot_price="100"), "/market/spot_price: '100' is not of type 'number'"),
+    (_general_doc(day_count=252), "/market/day_count: 252 is not one of [360, 365]"),
+    (_edited(_general_doc(), schema_version="2"), "/schema_version: '2' is not one of ['1']"),
+    (_general_doc(volatility=-0.1), "/market/volatility: -0.1 breaks minimum 0"),
+    (_edited(_general_doc(), mc={"n": 100_000_001, "seed": 7}),
+     "/mc/n: 100000001 breaks maximum 100000000"),
+    (_general_doc(spot_price=0), "/market/spot_price: 0 breaks exclusiveMinimum 0"),
+    (_edited(_relations_doc(), "terms", general_haircut=1.0),
+     "/terms/general_haircut: 1.0 breaks exclusiveMaximum 1"),
+    (_general_doc(currency=""), "/market/currency: '' is too short"),
+    (_edited(_general_doc(), "market", drop=["volatility"]),
+     "/market: 'volatility' is a required property"),
+    (_edited(_general_doc(), surprise=1), "/: properties 'surprise' not allowed"),
+    (_edited(_relations_doc(), "terms", drop=["special_rate"]),
+     "/terms: {'general_haircut': 0.02, 'general_rate': 0.03} matches 0 of its anyOf schemas"),
+    (_edited(_general_doc(), terms={}), "/terms: {} matches 0 of its oneOf schemas"),
+    # both forms: each oneOf branch fails on its "not", and no document of this
+    # schema can match two branches, which exclude each other
+    (_edited(_general_doc(), "terms", repurchase_price=97000.0),
+     "/terms: {'sigma_multiple': 3.0, 'repurchase_price': 97000.0} matches 0 of its oneOf "
+     "schemas"),
+    (_edited(_dealer_doc(), "terms", note_count=1.5),  # if kind is dealer, then $ref dealer_terms
+     "/terms/note_count: 1.5 is not of type 'integer'"),
+    (_general_doc(intrinsic_yield=10**400),
+     "/market/intrinsic_yield: integer beyond the float range"),
+    (_edited(_general_doc(), "market", drop=["volatility", "tenor_days"]),
+     "/market: 'volatility' is a required property"),
+    (_edited(_general_doc(), "market", drop=["tenor_days"], surprise=1),  # required first
+     "/market: 'tenor_days' is a required property"),
+    (_edited(_relations_doc(), "terms", drop=["general_rate"], surprise=1),  # required second
+     "/terms: properties 'surprise' not allowed"),
+]
+
+
+@pytest.mark.parametrize(("doc", "refusal"), _REFUSALS)
+def test_each_keyword_refusal_keeps_its_text(doc, refusal):
+    with pytest.raises(ValidationError) as caught:
+        validate_scenario_data(doc)
+    assert str(caught.value) == "scenario rejected at " + refusal
+
+
 def test_strike_terms_are_exclusive():
     doc = _general_doc()
     doc["terms"] = {"sigma_multiple": 3.0, "repurchase_price": 97000.0}
@@ -289,8 +342,8 @@ def test_scenario_files_validate_against_schema_directly():
         validator.validate(json.loads(path.read_text("utf-8")))
 
 
-# The keywords scenarios._walk interprets, and the ones it reads as annotations or
-# through another keyword ("$defs" through "$ref").
+# The keywords scenarios._compile turns into checks, and the ones it reads as annotations
+# or through another keyword ("$defs" through "$ref", "then" through "if").
 _INTERPRETED = {"type", "enum", "const", *scenarios._BOUNDS, "minLength", "required",
                 "properties", "additionalProperties", "allOf", "anyOf", "oneOf", "not", "if",
                 "then", "$ref"}
