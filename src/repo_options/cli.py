@@ -48,6 +48,7 @@ from .errors import (
     RepoOptionsError,
     ValidationError,
     capped,
+    capped_path,
     short_repr,
 )
 from .general_repo import (
@@ -64,7 +65,7 @@ from .montecarlo import mc_sample_stats
 from .reference import DEFAULT_MC_N, DEFAULT_MC_SEED, build_reference_rows
 from .reports import FORMATS, build_report, rate_per_annum, rate_per_period, render
 from .scenarios import Scenario, load_scenario
-from .special_repo import classify_regime, price_lender_fail
+from .special_repo import classify_regime, max_fed_fee, price_lender_fail
 
 #: Oracle sample size when --seed is given without an mc section.
 DEFAULT_ORACLE_N = 1_000_000
@@ -181,7 +182,7 @@ def special_relations_report(scenario: Scenario) -> dict:
 
     market, rel = scenario.market, scenario.terms
     regime = classify_regime(rel)
-    dc, td = market.day_count, market.tenor_days
+    spot, dc, td = market.spot_price, market.day_count, market.tenor_days
     per_year = 1.0 / market.period_years
     outputs = {
         "currency": scenario.currency,
@@ -192,6 +193,8 @@ def special_relations_report(scenario: Scenario) -> dict:
             general_rate_pa=rate_per_annum(rel.general_rate * per_year, dc),
             special_rate_pa=rate_per_annum(rel.special_rate * per_year, dc),
             fee_rate=rate_per_period(rel.fee_rate, td),
+            max_fee=max_fed_fee(spot, rel.special_haircut, rel.general_rate, rel.special_rate),
+            general_lend=spot * (1.0 - rel.general_haircut),
             balance_residual=rel.balance_residual(),
             regime=regime,
         ),
@@ -375,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
             try:
                 Path(args.out).write_text(text, "utf-8")
             except OSError as exc:
-                raise ParseError(f"cannot write output file {capped(args.out)}: "
+                raise ParseError(f"cannot write output file {capped_path(args.out)}: "
                                  f"{exc.strerror or exc}") from exc
         else:
             sys.stdout.write(text)

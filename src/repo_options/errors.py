@@ -66,6 +66,12 @@ def capped(text: str) -> str:
     return text if len(text) <= 60 else text[:57] + "..."
 
 
+def capped_path(path: str) -> str:
+    """``path``, or its first 20 and last 37 characters around ``...`` when it is over 60
+    long: a refusal about a file keeps the file's name, which ends the path."""
+    return path if len(path) <= 60 else path[:20] + "..." + path[-37:]
+
+
 def short_repr(x: Any) -> str:
     """``capped(repr(x))``.  It never raises, since it words refusals that a failure here
     would replace: an int past ``sys.get_int_max_str_digits()`` digits, which ``repr``

@@ -45,7 +45,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple
 
 from .dealer import DealerScenario
-from .errors import ParseError, ValidationError, capped, short_repr
+from .errors import ParseError, ValidationError, capped_path, short_repr
 from .general_repo import MarketParams, strike_from_sigma_multiple
 from .special_repo import SpecialRepoRelations, build_special_relations, max_fed_fee
 
@@ -56,11 +56,11 @@ MARKET_CONSISTENCY_RTOL = 1e-9
 
 def _read_json(path: str | Path) -> Any:
     """Decode the JSON document in a UTF-8 file; every way that fails is a
-    :class:`ParseError` naming ``path`` (capped at 60 characters).  A string holding
+    :class:`ParseError` naming ``path`` (``errors.capped_path``).  A string holding
     a lone surrogate (I-JSON, RFC 7493 section 2.1) is refused, since no format
     could print it."""
 
-    name = capped(str(path))
+    name = capped_path(str(path))
     try:
         with open(path, encoding="utf-8") as file:
             text = file.read()
@@ -296,7 +296,7 @@ def _engine_input(kind: str, market: MarketParams,
     if kind == "special_relations":
         haircut = terms.get("special_haircut")
         return build_special_relations(
-            market.spot_price, float(terms["general_haircut"]), rates["general_rate"],
+            float(terms["general_haircut"]), rates["general_rate"],
             special_haircut=None if haircut is None else float(haircut),
             special_rate=rates.get("special_rate"))
     note_count = int(terms["note_count"])

@@ -55,24 +55,20 @@ class _RelationsFields(NamedTuple):
     special_rate: float
     general_haircut: float
     special_haircut: float
-    fee_rate: float
-    max_fee: float
-    general_lend: float
 
 
 class SpecialRepoRelations(CheckedRecord, _RelationsFields):
-    """Consistent (rates, haircuts, fee) tuple in per-period terms.
+    """Consistent (rates, haircuts) tuple in per-period terms; fee_rate is fed_fee_rate of it.
 
-    general_rate, special_rate, general_haircut, special_haircut and
-    fee_rate are per-period fractions; max_fee and general_lend are
-    currency amounts for the given spot value.  A tuple with a rate <= -1,
-    a haircut >= 1 or a balance residual over REGIME_TOLERANCE raises
-    ValidationError on every construction path; the last three fields are unchecked.
+    A tuple with a rate <= -1, a haircut >= 1 or a balance residual over REGIME_TOLERANCE
+    raises ValidationError on every construction path.  It holds no spot value, so the
+    amounts for one, max_fed_fee and spot * (1 - general_haircut), are left to the caller.
     """
 
     __slots__ = ()
-    _rules = (("general_rate", RATE), ("special_rate", RATE),
-              ("general_haircut", HAIRCUT), ("special_haircut", HAIRCUT))
+    # special side first, so a derived special number out of its domain is what is named
+    _rules = (("special_rate", RATE), ("special_haircut", HAIRCUT),
+              ("general_rate", RATE), ("general_haircut", HAIRCUT))
 
     def _check(self):
         residual = self.balance_residual()
@@ -84,6 +80,10 @@ class SpecialRepoRelations(CheckedRecord, _RelationsFields):
         """(1+special_rate)(1-special_haircut) - (1+general_rate)(1-general_haircut)."""
         return ((1.0 + self.special_rate) * (1.0 - self.special_haircut)
                 - (1.0 + self.general_rate) * (1.0 - self.general_haircut))
+
+    @property
+    def fee_rate(self) -> float:
+        return fed_fee_rate(self.general_rate, self.special_rate, self.general_haircut)
 
 
 def price_lender_fail(m: MarketParams, repurchase_price: float) -> SpecialLenderQuote:
@@ -166,33 +166,22 @@ def rate_from_haircuts(general_haircut: float, special_haircut: float,
             / (1.0 - special_haircut))
 
 
-def build_special_relations(spot_price: float, general_haircut: float,
-                            general_rate: float, *,
+def build_special_relations(general_haircut: float, general_rate: float, *,
                             special_haircut: float | None = None,
                             special_rate: float | None = None) -> SpecialRepoRelations:
     """Complete a consistent relations tuple from one special-side input.
 
     Exactly one of special_haircut / special_rate may be omitted; it is
     derived from the balance identity.  If both are given they must already
-    satisfy the identity to within 1e-9.  Domain: spot_price > 0, both rates
-    > -1 and both haircuts < 1 (each function above checks its own part).
+    satisfy the identity to within 1e-9.  Domain: both rates > -1 and both haircuts < 1.
     """
     if special_haircut is None and special_rate is None:
         raise ValidationError("need special_haircut or special_rate (or both)")
-    require(POSITIVE, spot_price=spot_price)
     if special_rate is None:
         special_rate = rate_from_haircuts(general_haircut, special_haircut, general_rate)
     elif special_haircut is None:
         special_haircut = haircut_from_rates(general_haircut, general_rate, special_rate)
-    return SpecialRepoRelations(
-        general_rate=general_rate,
-        special_rate=special_rate,
-        general_haircut=general_haircut,
-        special_haircut=special_haircut,
-        fee_rate=fed_fee_rate(general_rate, special_rate, general_haircut),
-        max_fee=max_fed_fee(spot_price, special_haircut, general_rate, special_rate),
-        general_lend=spot_price * (1.0 - general_haircut),
-    )
+    return SpecialRepoRelations(general_rate, special_rate, general_haircut, special_haircut)
 
 
 def classify_regime(rel: SpecialRepoRelations) -> str:

@@ -164,11 +164,11 @@ def test_criterion_11_fee_forms_and_round_trips():
     worst_form = 0.0
     worst_round = 0.0
     for _ in range(1000):
-        spot = float(rng.uniform(1e3, 1e6))
+        rng.uniform(1e3, 1e6)  # a spot the relations do not use, drawn to keep the stream
         g_cut = float(rng.uniform(0.0, 0.1))
         g_rate = float(rng.uniform(-0.005, 0.02))
         s_rate = float(rng.uniform(-0.02, g_rate))
-        rel = build_special_relations(spot, g_cut, g_rate, special_rate=s_rate)
+        rel = build_special_relations(g_cut, g_rate, special_rate=s_rate)
         f1 = rel.fee_rate
         f2 = (g_rate - s_rate) * (1.0 - rel.special_haircut) / (1.0 + g_rate)
         f3 = g_cut - rel.special_haircut
@@ -189,17 +189,17 @@ def test_criterion_12_regime_limits():
     rng = np.random.default_rng(1212)
     worst_gd = worst_stressed = worst_no_demand = 0.0
     for _ in range(200):
-        spot = float(rng.uniform(1e3, 1e6))
+        rng.uniform(1e3, 1e6)  # a spot the relations do not use, drawn to keep the stream
         g_cut = float(rng.uniform(0.0, 0.2))
         g_rate = float(rng.uniform(-0.005, 0.05))
         # zero special haircut: special rate sinks by the haircut's carry
-        rel = build_special_relations(spot, g_cut, g_rate, special_haircut=0.0)
+        rel = build_special_relations(g_cut, g_rate, special_haircut=0.0)
         worst_gd = max(worst_gd, abs(rel.special_rate - (g_rate - g_cut * (1.0 + g_rate))))
         # zero special rate: the fee is the general rate on the lent fraction
-        rel = build_special_relations(spot, g_cut, g_rate, special_rate=0.0)
+        rel = build_special_relations(g_cut, g_rate, special_rate=0.0)
         worst_stressed = max(worst_stressed, abs(rel.fee_rate - g_rate * (1.0 - g_cut)))
         # zero fee: special and general rates coincide
-        rel = build_special_relations(spot, g_cut, g_rate, special_haircut=g_cut)
+        rel = build_special_relations(g_cut, g_rate, special_haircut=g_cut)
         worst_no_demand = max(
             worst_no_demand, abs(rel.special_rate - g_rate), abs(rel.fee_rate)
         )

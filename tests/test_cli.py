@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import repo_options
 from repo_options.cli import main
-from repo_options.errors import ParseError, PricingError, capped
+from repo_options.errors import CheckedRecord, ParseError, PricingError, capped_path
 from repo_options.montecarlo import CHUNK_SIZE
 from repo_options.reference import build_reference_rows
 from repo_options.reports import FORMATS
@@ -82,7 +82,7 @@ def test_unwritable_out_file_is_exit_2(capsys, tmp_path):
     assert main(["price-general", GENERAL, "--format", "json", "--out", str(target)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (f"error: cannot write output file {capped(str(target))}: "
+    assert captured.err == (f"error: cannot write output file {capped_path(str(target))}: "
                             "No such file or directory\n")
     assert not target.parent.exists()
 
@@ -410,11 +410,12 @@ _LONG_DIR = "/".join(["d" * 199] * 15)  # 2,999 characters, each name under 255 
 
 
 @pytest.mark.parametrize("argv, refusal", [
-    (["price-general", "a" * 3000], "cannot read " + "a" * 57 + "...: File name too long"),
-    (["price-general", _LONG_DIR + "/bad.json"], "invalid JSON in " + "d" * 57
-     + "... at line 1 column 2: Expecting property name enclosed in double quotes"),
-    (["price-general", GENERAL, "--out", "o" * 3000],
-     "cannot write output file " + "o" * 57 + "...: File name too long"),
+    (["price-general", "a" * 2990 + "_name.json"],
+     "cannot read " + "a" * 20 + "..." + "a" * 27 + "_name.json: File name too long"),
+    (["price-general", _LONG_DIR + "/bad.json"], "invalid JSON in " + "d" * 20 + "..."
+     + "d" * 28 + "/bad.json at line 1 column 2: Expecting property name enclosed in double quotes"),
+    (["price-general", GENERAL, "--out", "o" * 2990 + "_name.json"],
+     "cannot write output file " + "o" * 20 + "..." + "o" * 27 + "_name.json: File name too long"),
 ], ids=["cannot-read", "invalid-json", "cannot-write"])
 def test_path_refusals_echo_the_path_once_capped(capsys, tmp_path, monkeypatch, argv, refusal):
     monkeypatch.chdir(tmp_path)
@@ -464,7 +465,7 @@ _NOT_JSON_TEXT = {
 def test_a_file_that_is_not_json_text_is_exit_2(capsys, tmp_path, name):
     path = tmp_path / "scenario.json"
     path.write_bytes(_NOT_JSON_TEXT[name])
-    with pytest.raises(ParseError, match="^invalid JSON in " + re.escape(capped(str(path)))):
+    with pytest.raises(ParseError, match="^invalid JSON in " + re.escape(capped_path(str(path)))):
         load_scenario(path)
     out = tmp_path / "report.txt"
     for fmt in FORMATS:
@@ -625,6 +626,11 @@ def _finite_leaves(value) -> bool:
         ("dealer-sim", "dealer_gain_funded.json", {}, {"fed_fee": "max"}, 3,
          'scenario rejected at /terms/fed_fee: "max" resolves to -5.444546287809349: '
          "special_rate 0.05 is above general_rate 0.03, so no fee can be funded"),
+        # two faults: the special rate derived from the haircut, -2.96 per period, and the
+        # general rate, -2 per period; the special side is named first
+        ("price-special", "relations_guaranteed_delivery.json", {},
+         {"general_rate": -24.0, "special_haircut": 0.5}, 3,
+         "error: special_rate must be > -1, got -2.96\n"),
     ],
 )
 def test_degenerate_inputs_fail_typed_or_stay_finite(
@@ -1174,11 +1180,11 @@ _CHECKED_RECORDS = {
     "MarketParams": (dict(spot_price=100.0, intrinsic_yield=0.03, volatility=0.19,
                           tenor_days=1, risk_free_rate=0.0, day_count=360),
                      ("day_count", 365), [dict(day_count=364), dict(tenor_days=10**400)]),
-    # the second change keeps the balance: (1 - 2)(1 - 2) = (1 + 0.25)(1 - 0.2)
+    # special_rate=1e-10 leaves a balance residual of 1e-10, within 1e-9; the second
+    # change keeps the balance: (1 - 2)(1 - 2) = (1 + 0.25)(1 - 0.2)
     "SpecialRepoRelations": (dict(general_rate=0.25, special_rate=0.0, general_haircut=0.2,
-                                  special_haircut=0.0, fee_rate=0.2, max_fee=20.0,
-                                  general_lend=80.0),
-                             ("max_fee", 19.0),
+                                  special_haircut=0.0),
+                             ("special_rate", 1e-10),
                              [dict(special_haircut=0.01),
                               dict(special_rate=-2.0, special_haircut=2.0)]),
 }
@@ -1188,10 +1194,13 @@ _CHECKED_RECORDS = {
 def test_exported_record_contract(name):
     """Each record is immutable, equal by fields and names its fields in its repr, and
     ``_replace`` and ``_make`` build it as the constructor does; one that checks its
-    fields refuses each bad change on each of those three paths."""
+    fields refuses each bad change, and a nan in any one field, on each of those three
+    paths.  A relations record computes its fee rate and holds no derived field."""
     record = getattr(repo_options, name)
+    assert (name in _CHECKED_RECORDS) == issubclass(record, CheckedRecord)
     if name in _CHECKED_RECORDS:
         fields, (field, other), bad_changes = _CHECKED_RECORDS[name]
+        bad_changes = [*bad_changes, *({f: math.nan} for f in record._fields)]
     else:
         fields, bad_changes = dict.fromkeys(record._fields, 1.0), []
         field, other = record._fields[0], 2.0
@@ -1212,6 +1221,16 @@ def test_exported_record_contract(name):
         for build in (lambda: record(**bad_fields), lambda: value._replace(**bad),
                       lambda: record._make(bad_fields.values())):
             with pytest.raises(repo_options.ValidationError):
+                build()
+    if name == "SpecialRepoRelations":
+        for built in (value, value._replace(**{field: other}), record._make(changed.values())):
+            fee = repo_options.fed_fee_rate(built.general_rate, built.special_rate,
+                                            built.general_haircut)
+            assert built.fee_rate.hex() == fee.hex()
+        derived = dict(fee_rate=0.0, max_fee=-5.0, general_lend=1e9)
+        for build in (lambda: record(**fields, **derived), lambda: value._replace(**derived),
+                      lambda: record._make([*fields.values(), *derived.values()])):
+            with pytest.raises((TypeError, ValueError)):
                 build()
 
 

@@ -80,18 +80,19 @@ def test_fee_sign_follows_rate_spread():
     assert fed_fee_rate(1e-4, 1e-4, 0.02) == 0.0
 
 
-def _random_consistent(rng) -> SpecialRepoRelations:
+def _random_consistent(rng) -> tuple[float, SpecialRepoRelations]:
+    """A spot value and a consistent relations tuple."""
     spot = float(rng.uniform(1e3, 1e6))
     g_cut = float(rng.uniform(0.0, 0.1))
     g_rate = float(rng.uniform(-0.005, 0.02))  # per period
     s_rate = float(rng.uniform(-0.05, g_rate))  # special trades at or below general
-    return build_special_relations(spot, g_cut, g_rate, special_rate=s_rate)
+    return spot, build_special_relations(g_cut, g_rate, special_rate=s_rate)
 
 
 def test_three_fee_forms_agree_randomized():
     rng = np.random.default_rng(26)
     for _ in range(1000):
-        rel = _random_consistent(rng)
+        _, rel = _random_consistent(rng)
         form_a = (
             (rel.general_rate - rel.special_rate)
             * (1.0 - rel.general_haircut)
@@ -123,7 +124,7 @@ def test_haircut_rate_round_trips_randomized():
 def test_balance_residual_zero_for_built_relations():
     rng = np.random.default_rng(28)
     for _ in range(200):
-        rel = _random_consistent(rng)
+        _, rel = _random_consistent(rng)
         assert abs(rel.balance_residual()) <= 1e-12
 
 
@@ -131,9 +132,9 @@ def test_max_fee_equals_fee_rate_times_spot_under_consistency():
     # on the consistency surface the quoted fee rate already is the maximum
     rng = np.random.default_rng(29)
     for _ in range(200):
-        rel = _random_consistent(rng)
-        spot = rel.general_lend / (1.0 - rel.general_haircut)
-        assert rel.max_fee == pytest.approx(rel.fee_rate * spot, rel=1e-9, abs=1e-9)
+        spot, rel = _random_consistent(rng)
+        max_fee = max_fed_fee(spot, rel.special_haircut, rel.general_rate, rel.special_rate)
+        assert max_fee == pytest.approx(rel.fee_rate * spot, rel=1e-9, abs=1e-9)
 
 
 # --- regime limits (exact algebra at the boundary) ---
@@ -164,16 +165,16 @@ def test_regime_limit_no_demand():
 
 def test_classify_regimes():
     # guaranteed delivery: zero special haircut
-    rel = build_special_relations(1e5, 0.02, 0.0025, special_haircut=0.0)
+    rel = build_special_relations(0.02, 0.0025, special_haircut=0.0)
     assert classify_regime(rel) == "guaranteed_delivery"
     # stressed: zero special rate with a positive fee
-    rel = build_special_relations(1e5, 0.02, 0.0025, special_rate=0.0)
+    rel = build_special_relations(0.02, 0.0025, special_rate=0.0)
     assert classify_regime(rel) == "stressed"
     # no demand: fee exactly zero (special = general)
-    rel = build_special_relations(1e5, 0.02, 0.0025, special_rate=0.0025)
+    rel = build_special_relations(0.02, 0.0025, special_rate=0.0025)
     assert classify_regime(rel) == "no_demand"
     # normal: everything strictly between
-    rel = build_special_relations(1e5, 0.02, 0.0025, special_rate=0.001)
+    rel = build_special_relations(0.02, 0.0025, special_rate=0.001)
     assert classify_regime(rel) == "normal"
 
 
@@ -181,7 +182,7 @@ def test_classify_priority_guaranteed_delivery_beats_stressed():
     # s_cut = 0 and s_rate = 0 simultaneously (requires g_rate = g_cut / (1 - g_cut))
     g_cut = 0.02
     g_rate = g_cut / (1.0 - g_cut)
-    rel = build_special_relations(1e5, g_cut, g_rate, special_rate=0.0)
+    rel = build_special_relations(g_cut, g_rate, special_rate=0.0)
     assert abs(rel.special_haircut) <= 1e-9
     assert classify_regime(rel) == "guaranteed_delivery"
 
@@ -195,30 +196,27 @@ def test_inconsistent_relations_rejected():
             special_rate=0.001,
             general_haircut=0.02,
             special_haircut=0.05,
-            fee_rate=0.0,
-            max_fee=0.0,
-            general_lend=98000.0,
         )
 
 
 def test_build_relations_consistent_both_inputs():
     s_cut = haircut_from_rates(0.02, 0.0025, 0.001)
     rel = build_special_relations(
-        1e5, 0.02, 0.0025, special_haircut=s_cut, special_rate=0.001
+        0.02, 0.0025, special_haircut=s_cut, special_rate=0.001
     )
     assert rel.special_haircut == s_cut
     # both given but inconsistent -> rejected
     with pytest.raises(ValidationError):
         build_special_relations(
-            1e5, 0.02, 0.0025, special_haircut=s_cut + 1e-3, special_rate=0.001
+            0.02, 0.0025, special_haircut=s_cut + 1e-3, special_rate=0.001
         )
 
 
 def test_validation_rejects_out_of_domain():
     with pytest.raises(ValidationError):
-        build_special_relations(1e5, 0.02, 0.0025)  # no special side at all
-    with pytest.raises(ValidationError):
-        build_special_relations(0.0, 0.02, 0.0025, special_rate=0.001)
+        build_special_relations(0.02, 0.0025)  # no special side at all
+    with pytest.raises(ValidationError, match="^special_rate must be > -1, got -1.0$"):
+        build_special_relations(0.02, 0.0025, special_rate=-1.0)
     with pytest.raises(ValidationError):
         fed_fee_rate(0.01, -1.0, 0.02)
     with pytest.raises(ValidationError, match="spot_price must be > 0"):
