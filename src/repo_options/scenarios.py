@@ -45,7 +45,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple
 
 from .dealer import DealerScenario
-from .errors import ParseError, ValidationError, capped_path, short_repr
+from .errors import FINITE, ParseError, ValidationError, capped_path, short_repr
 from .general_repo import MarketParams, strike_from_sigma_multiple
 from .special_repo import SpecialRepoRelations, build_special_relations, max_fed_fee
 
@@ -194,11 +194,6 @@ def _compile(schema: Mapping[str, Any], ref: Callable[[str], _Check]) -> _Check:
                 if passed == 0 or key == "oneOf" and passed > 1:
                     out.append((path, key, f"{short_repr(x)} matches {passed} of its {key} "
                                            "schemas"))
-        elif key == "not":
-            def check(x, path, out, sub=_compile(value, ref),
-                      text=f" should not be valid under {value!r}"):
-                if _passes(sub, x):
-                    out.append((path, "not", short_repr(x) + text))
         elif key == "if" and "then" in schema:
             def check(x, path, out, cond=_compile(value, ref), then=_compile(schema["then"], ref)):
                 if _passes(cond, x):
@@ -292,7 +287,11 @@ def _engine_input(kind: str, market: MarketParams,
             return float(terms["repurchase_price"])
         return strike_from_sigma_multiple(market, float(terms["sigma_multiple"]))
     rates = {name: float(terms[name]) * market.period_years
-             for name in ("general_rate", "special_rate") if name in terms}
+             for name in ("special_rate", "general_rate") if name in terms}
+    for name, rate in rates.items():  # the special side first, as the records name it
+        if not FINITE.test(rate):
+            raise ValidationError(f"scenario rejected at /terms/{name}: "
+                                  f"{float(terms[name])!r} per annum is {rate!r} per period")
     if kind == "special_relations":
         haircut = terms.get("special_haircut")
         return build_special_relations(

@@ -173,14 +173,17 @@ def build_special_relations(general_haircut: float, general_rate: float, *,
 
     Exactly one of special_haircut / special_rate may be omitted; it is
     derived from the balance identity.  If both are given they must already
-    satisfy the identity to within 1e-9.  Domain: both rates > -1 and both haircuts < 1.
+    satisfy the identity to within 1e-9.  Domain: both rates > -1 and both haircuts < 1;
+    a derived value outside it is refused as derived, naming the input it came from.
     """
     if special_haircut is None and special_rate is None:
         raise ValidationError("need special_haircut or special_rate (or both)")
     if special_rate is None:
         special_rate = rate_from_haircuts(general_haircut, special_haircut, general_rate)
+        require(RATE, **{"special_rate derived from special_haircut": special_rate})
     elif special_haircut is None:
         special_haircut = haircut_from_rates(general_haircut, general_rate, special_rate)
+        require(HAIRCUT, **{"special_haircut derived from special_rate": special_haircut})
     return SpecialRepoRelations(general_rate, special_rate, general_haircut, special_haircut)
 
 

@@ -627,10 +627,23 @@ def _finite_leaves(value) -> bool:
          'scenario rejected at /terms/fed_fee: "max" resolves to -5.444546287809349: '
          "special_rate 0.05 is above general_rate 0.03, so no fee can be funded"),
         # two faults: the special rate derived from the haircut, -2.96 per period, and the
-        # general rate, -2 per period; the special side is named first
+        # general rate, -2 per period; the special side is named first, as derived
         ("price-special", "relations_guaranteed_delivery.json", {},
          {"general_rate": -24.0, "special_haircut": 0.5}, 3,
-         "error: special_rate must be > -1, got -2.96\n"),
+         "error: special_rate derived from special_haircut must be > -1, got -2.96\n"),
+        # a per-annum rate that overflows per period is refused at its pointer
+        ("price-special", "relations_normal.json", {"tenor_days": 730},
+         {"general_rate": 1e308}, 3,
+         "error: scenario rejected at /terms/general_rate: 1e+308 per annum is inf per period\n"),
+        ("dealer-sim", "dealer_gain_funded.json", {"tenor_days": 730},
+         {"general_rate": 1e308}, 3,
+         "error: scenario rejected at /terms/general_rate: 1e+308 per annum is inf per period\n"),
+        # a near-zero strike over ten years at 50 %: the Black-Scholes haircut is the
+        # whole spot, so the loan it implies is not positive
+        ("price-general", "general_3sigma.json",
+         {"intrinsic_yield": 0.5, "risk_free_rate": 0.5, "tenor_days": 3650},
+         {"repurchase_price": 1e-9}, 4,
+         "error: benchmark haircut 100000 >= spot 100000: implied loan is non-positive\n"),
     ],
 )
 def test_degenerate_inputs_fail_typed_or_stay_finite(

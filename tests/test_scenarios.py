@@ -156,10 +156,9 @@ _REFUSALS = [
     (_edited(_relations_doc(), "terms", drop=["special_rate"]),
      "/terms: {'general_haircut': 0.02, 'general_rate': 0.03} matches 0 of its anyOf schemas"),
     (_edited(_general_doc(), terms={}), "/terms: {} matches 0 of its oneOf schemas"),
-    # both forms: each oneOf branch fails on its "not", and no document of this
-    # schema can match two branches, which exclude each other
+    # both forms: each oneOf branch requires one form, so the terms match both
     (_edited(_general_doc(), "terms", repurchase_price=97000.0),
-     "/terms: {'sigma_multiple': 3.0, 'repurchase_price': 97000.0} matches 0 of its oneOf "
+     "/terms: {'sigma_multiple': 3.0, 'repurchase_price': 97000.0} matches 2 of its oneOf "
      "schemas"),
     (_edited(_dealer_doc(), "terms", note_count=1.5),  # if kind is dealer, then $ref dealer_terms
      "/terms/note_count: 1.5 is not of type 'integer'"),
@@ -345,14 +344,14 @@ def test_scenario_files_validate_against_schema_directly():
 # The keywords scenarios._compile turns into checks, and the ones it reads as annotations
 # or through another keyword ("$defs" through "$ref", "then" through "if").
 _INTERPRETED = {"type", "enum", "const", *scenarios._BOUNDS, "minLength", "required",
-                "properties", "additionalProperties", "allOf", "anyOf", "oneOf", "not", "if",
-                "then", "$ref"}
+                "properties", "additionalProperties", "allOf", "anyOf", "oneOf", "if", "then",
+                "$ref"}
 _SKIPPED = {"$schema", "$id", "title", "description", "$defs"}
 
 
 def _subschemas(schema):
     yield schema
-    nested = [schema[key] for key in ("not", "if", "then") if key in schema]
+    nested = [schema[key] for key in ("if", "then") if key in schema]
     nested += [*schema.get("allOf", ()), *schema.get("anyOf", ()), *schema.get("oneOf", ())]
     nested += [*schema.get("properties", {}).values(), *schema.get("$defs", {}).values()]
     for sub in nested:
@@ -362,10 +361,15 @@ def _subschemas(schema):
 def test_packaged_schema_uses_only_interpreted_keywords():
     """Validation reads only the keywords above and closes objects only with
     ``additionalProperties: false``, so a schema edit that adds another keyword
-    (``pattern``, ``maxLength``) or another ``additionalProperties`` fails here."""
+    (``pattern``, ``maxLength``) or another ``additionalProperties`` fails here.
+    The schema uses every keyword above, so the validator keeps no branch that
+    only a removed keyword needed."""
+    used = set()
     for sub in _subschemas(scenario_schema()):
         assert not sub.keys() - _INTERPRETED - _SKIPPED, sub
         assert sub.get("additionalProperties", False) is False, sub
+        used |= sub.keys()
+    assert _INTERPRETED <= used, _INTERPRETED - used
 
 
 _REFERENCE = jsonschema.Draft202012Validator(scenario_schema())

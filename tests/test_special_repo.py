@@ -217,6 +217,13 @@ def test_validation_rejects_out_of_domain():
         build_special_relations(0.02, 0.0025)  # no special side at all
     with pytest.raises(ValidationError, match="^special_rate must be > -1, got -1.0$"):
         build_special_relations(0.02, 0.0025, special_rate=-1.0)
+    # a derived special side out of its domain is named as derived, before the general side
+    with pytest.raises(ValidationError, match="^special_rate derived from special_haircut "
+                                              "must be > -1, got -2.96$"):
+        build_special_relations(0.02, -2.0, special_haircut=0.5)
+    with pytest.raises(ValidationError, match="^special_haircut derived from special_rate "
+                                              "must be < 1, got 1.97"):
+        build_special_relations(0.02, -2.0, special_rate=0.01)
     with pytest.raises(ValidationError):
         fed_fee_rate(0.01, -1.0, 0.02)
     with pytest.raises(ValidationError, match="spot_price must be > 0"):
