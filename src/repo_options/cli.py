@@ -71,15 +71,6 @@ from .special_repo import classify_regime, max_fed_fee, price_lender_fail
 DEFAULT_ORACLE_N = 1_000_000
 
 
-def _require_kind(scenario: Scenario, *kinds: str) -> None:
-    if scenario.kind not in kinds:
-        expected = " or ".join(repr(k) for k in kinds)
-        raise ValidationError(
-            f"scenario kind {scenario.kind!r} not supported by this command "
-            f"(expected {expected})"
-        )
-
-
 def _oracle_section(
     mode: str,
     strike: float,
@@ -148,7 +139,6 @@ def general_report(scenario: Scenario, seed_override: int | None = None) -> dict
         inputs=scenario.raw,
         outputs=outputs,
         oracle=oracle,
-        seed=None if oracle is None else oracle["seed"],
     )
 
 
@@ -173,7 +163,6 @@ def special_lender_report(scenario: Scenario, seed_override: int | None = None) 
         inputs=scenario.raw,
         outputs=outputs,
         oracle=oracle,
-        seed=None if oracle is None else oracle["seed"],
     )
 
 
@@ -278,7 +267,10 @@ def _report(args: argparse.Namespace) -> dict:
         seed = args.seed if args.seed is not None else DEFAULT_MC_SEED
         return reproduce_report(args.day_count, args.mc, seed, DEFAULT_MC_N)
     scenario = load_scenario(args.scenario)
-    _require_kind(scenario, *args.kinds)
+    if scenario.kind not in args.kinds:
+        expected = " or ".join(repr(k) for k in args.kinds)
+        raise ValidationError(f"scenario kind {scenario.kind!r} not supported by this command "
+                              f"(expected {expected})")
     if args.command == "compare-bs":
         return compare_bs_report(scenario, _parse_strikes(args.strikes))
     if scenario.kind == "general":

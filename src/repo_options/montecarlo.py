@@ -142,11 +142,11 @@ def _chunk_moments(mode: str, strike: float, g: GaussianParams,
         dev = x[block]
         dev -= m
         d2 = scratch[:dev.size]
-        np.multiply(dev, dev, out=d2)
+        np.square(dev, out=d2)
         m2 = np.add.reduce(d2)
         dev *= d2
         m3 = np.add.reduce(dev)
-        d2 *= d2
+        np.square(d2, out=d2)
         return np.array([m2, m3, np.add.reduce(d2)])  # adds elementwise, as three floats would
 
     m2, m3, m4 = _pairwise(0, x.size, centred_sums).tolist()

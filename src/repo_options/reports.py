@@ -71,8 +71,13 @@ def build_report(
     oracle: Mapping[str, Any] | None = None,
     seed: int | None = None,
 ) -> dict[str, Any]:
-    """Assemble a schema-version-1 report document."""
+    """Assemble a schema-version-1 report document.
 
+    The provenance ``seed`` is ``seed``, or else the ``oracle`` section's seed.
+    """
+
+    if seed is None and oracle is not None:
+        seed = oracle.get("seed")
     provenance: dict[str, Any] = {
         "tool": "repo-options",
         "version": __version__,
@@ -88,10 +93,6 @@ def build_report(
     if oracle is not None:
         doc["oracle"] = dict(oracle)
     return doc
-
-
-def _non_finite(path: str, value: float) -> PricingError:
-    return PricingError(f"report value {path} is {value!r}, not a finite number")
 
 
 _encode_str = json.encoder.encode_basestring
@@ -224,7 +225,7 @@ def _cell(path: str, value: Any, none: str, number: Callable[[float], str]) -> s
     if cls is float:
         if isfinite(value):
             return number(value)
-        raise _non_finite(path, value)
+        raise PricingError(f"report value {path} is {value!r}, not a finite number")
     if cls is str:
         return value
     if cls is int:

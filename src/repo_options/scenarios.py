@@ -42,7 +42,7 @@ import operator
 import sys
 from functools import cache
 from pathlib import Path
-from typing import Any, Callable, Mapping, NamedTuple
+from typing import Any, Callable, Mapping, NamedTuple, NoReturn
 
 from .dealer import DealerScenario
 from .errors import FINITE, ParseError, ValidationError, capped_path, short_repr
@@ -54,17 +54,29 @@ from .special_repo import SpecialRepoRelations, build_special_relations, max_fed
 MARKET_CONSISTENCY_RTOL = 1e-9
 
 
+def _refuse_constant(token: str) -> NoReturn:
+    raise ValueError(f"{token} is not a JSON number (RFC 8259)")
+
+
+# Built once: json.loads builds a new decoder on every call given an option, which
+# costs more than decoding a scenario file.
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
 def _read_json(path: str | Path) -> Any:
     """Decode the JSON document in a UTF-8 file; every way that fails is a
     :class:`ParseError` naming ``path`` (``errors.capped_path``).  A string holding
     a lone surrogate (I-JSON, RFC 7493 section 2.1) is refused, since no format
-    could print it."""
+    could print it, and so are ``NaN``, ``Infinity`` and ``-Infinity``, which
+    Python's ``json`` accepts but JSON does not."""
 
     name = capped_path(str(path))
     try:
         with open(path, encoding="utf-8") as file:
             text = file.read()
-        data = json.loads(text)
+        if text.startswith("\ufeff"):  # json.loads' own refusal, which decode() skips
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        data = _DECODER.decode(text)
         if "\\u" in text:  # only a \u escape decodes to a surrogate; UTF-8 refuses a lone one
             json.dumps(data, ensure_ascii=False).encode("utf-8")
     except OSError as exc:  # its strerror, since str(exc) repeats the whole path
@@ -78,8 +90,8 @@ def _read_json(path: str | Path) -> Any:
             f"invalid JSON in {name}: a string holds the lone surrogate {exc.object[exc.start]!r}"
         ) from exc
     except (ValueError, RecursionError) as exc:
-        # bytes that are not UTF-8, an integer literal longer than
-        # sys.get_int_max_str_digits(), or nesting past the recursion limit
+        # bytes that are not UTF-8, a NaN or Infinity token, an integer literal longer
+        # than sys.get_int_max_str_digits(), or nesting past the recursion limit
         raise ParseError(f"invalid JSON in {name}: {exc}") from exc
     return data
 

@@ -458,6 +458,10 @@ _NOT_JSON_TEXT = {
     "object-5000-deep": b'{"a":' * 5_000 + b"1" + b"}" * 5_000,
     # I-JSON (RFC 7493 section 2.1): no format can encode a lone surrogate
     "lone-surrogate": _general_with_currency('"\\ud800"').encode("ascii"),
+    # Python's json reads these tokens, but JSON (RFC 8259) has no such number
+    **{token: Path(GENERAL).read_text("utf-8").replace('"sigma_multiple": 3.0',
+                                                        f'"sigma_multiple": {token}').encode()
+       for token in ("NaN", "Infinity", "-Infinity")},
 }
 
 
@@ -644,6 +648,11 @@ def _finite_leaves(value) -> bool:
          {"intrinsic_yield": 0.5, "risk_free_rate": 0.5, "tenor_days": 3650},
          {"repurchase_price": 1e-9}, 4,
          "error: benchmark haircut 100000 >= spot 100000: implied loan is non-positive\n"),
+        # 7.25 forward sds above the forward mean: the haircut, one ulp of the spot, is
+        # rounding dust, not a price
+        ("price-general", "general_3sigma.json", {}, {"repurchase_price": 107268.39579480325},
+         4, "error: rounding-dust haircut 1.45519e-11: repurchase price 107268 sits too far "
+         "above the forward mean for the implicit-call interpretation\n"),
     ],
 )
 def test_degenerate_inputs_fail_typed_or_stay_finite(
@@ -736,7 +745,8 @@ def _assert_in_domain(command, scenario, outputs):
     sweep); for the relations, 4 ulps of max(1, |haircuts|, |fee_rate|)."""
     m, ulps = scenario.market, 4 * sys.float_info.epsilon
     spot, r, y = m.spot_price, m.risk_free_rate, m.intrinsic_yield
-    # haircut = spot - lent rounds to spot once the loan is below half an ulp of spot
+    # haircut = spot - lent rounds to spot once the loan is below half an ulp of spot;
+    # a haircut of at most 3 * epsilon * spot is rounding dust, which pricing refuses
     haircuts = [row["haircut"] for row in outputs["rows"]] if command == "compare-bs" else []
     if command == "price-general":
         q = outputs["quote"]
@@ -763,7 +773,7 @@ def _assert_in_domain(command, scenario, outputs):
         # and 2.0 over 73,919 exit-0 reports of a random 200,000-document sweep
         gap = (g - s - fee) - rel["balance_residual"] / (1.0 + special_rate)
         assert abs(gap) <= ulps * max(1.0, abs(g), abs(s), abs(fee)), gap
-    assert all(0.0 < h <= spot for h in haircuts), haircuts
+    assert all(3 * sys.float_info.epsilon * spot < h <= spot for h in haircuts), haircuts
 
 
 def _assert_finite_or_typed_error(tmp_path_factory, command, doc, huge_field, flags=()):

@@ -434,18 +434,24 @@ _TAIL_MARKET = MarketParams(spot_price=55.17, intrinsic_yield=-0.1163, volatilit
                    day_count=st.sampled_from([360, 365])),
        multiples=st.lists(_MULTIPLES, min_size=1, max_size=8))
 @example(m=MARKET, multiples=[-50.0, -40.0, -3.0, 0.0])  # Phi(c) == 0, then priced
-@example(m=_TAIL_MARKET, multiples=[40.0, -3.0, 38.5])  # c > 38 priced with a dust haircut
+@example(m=_TAIL_MARKET, multiples=[40.0, -3.0, 38.5])  # c > 38 leaves a dust haircut
 def test_ladder_rows_match_each_strike_alone(m, multiples):
     g = forward_gaussian(m)
     _assert_ladder_matches_each_strike_alone(m, [g.mean + c * g.sd for c in multiples])
 
 
-def test_tail_examples_reach_both_exact_tails():
-    # what the two examples above stand for: each prices a strike in each tail
-    for m, c in ((MARKET, -50.0), (_TAIL_MARKET, 40.0)):
-        g = forward_gaussian(m)
-        quote = price_general_repo(m, g.mean + c * g.sd)
-        assert quote.revenue_sd_abs == (0.0 if c < 0 else g.sd)
+def test_tail_examples_reach_both_exact_tails(monkeypatch):
+    # what the two examples above stand for: pricing reaches each exact tail of
+    # censored_min_sd.  Past c = 38 the haircut is rounding dust, which is refused.
+    sds, censored_min_sd = [], general_repo.censored_min_sd
+    monkeypatch.setattr(general_repo, "censored_min_sd",
+                        lambda strike, g: sds.append(censored_min_sd(strike, g)) or sds[-1])
+    g = forward_gaussian(MARKET)
+    assert price_general_repo(MARKET, g.mean - 50.0 * g.sd).revenue_sd_abs == 0.0
+    g = forward_gaussian(_TAIL_MARKET)
+    with pytest.raises(PricingError, match="^rounding-dust haircut"):
+        price_general_repo(_TAIL_MARKET, g.mean + 40.0 * g.sd)
+    assert sds == [0.0, g.sd]
 
 
 _LADDER = [99000.0 + 100.0 * i for i in range(16)]
@@ -461,6 +467,8 @@ _WIDE = MarketParams(spot_price=1.0, intrinsic_yield=0.0, volatility=10.0,
     (MARKET, _LADDER, -1.0, ValidationError),
     pytest.param(MARKET, _LADDER, 10**400, ValidationError, id="int-past-float-range"),
     (MARKET, _LADDER, 150000.0, PricingError),  # non-positive haircut
+    # 7.25 forward sds above the forward mean: the haircut is one ulp of the spot
+    (MARKET, _LADDER, 107268.39579480325, PricingError),
     (_WIDE, [25.0 + i for i in range(16)], 0.5, PricingError),  # non-positive lent amount
     (MARKET, _LADDER, None, ToleranceError),  # identity residual, planted below
 ])

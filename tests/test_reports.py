@@ -67,6 +67,16 @@ def test_seed_defaults_to_null_and_oracle_is_optional():
     assert "oracle" not in doc
 
 
+def test_seed_comes_from_the_oracle_section_unless_given():
+    oracle = {"seed": 7, "n": 1000}
+    assert build_report(command="x", inputs={}, outputs={},
+                        oracle=oracle)["provenance"]["seed"] == 7
+    assert build_report(command="x", inputs={}, outputs={}, oracle=oracle,
+                        seed=42)["provenance"]["seed"] == 42
+    assert build_report(command="x", inputs={}, outputs={},
+                        oracle={"z_mean": 1.0})["provenance"]["seed"] is None
+
+
 def test_json_round_trip_and_byte_determinism():
     doc = _sample_report()
     text = to_json(doc)
