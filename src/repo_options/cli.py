@@ -44,11 +44,13 @@ from .errors import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_PRICING,
+    FINITE,
     ParseError,
     RepoOptionsError,
     ValidationError,
     capped,
     capped_path,
+    require,
     short_repr,
 )
 from .general_repo import (
@@ -173,17 +175,25 @@ def special_relations_report(scenario: Scenario) -> dict:
     regime = classify_regime(rel)
     spot, dc, td = market.spot_price, market.day_count, market.tenor_days
     per_year = 1.0 / market.period_years
+    amounts = {
+        "general_rate_pa": rel.general_rate * per_year,
+        "special_rate_pa": rel.special_rate * per_year,
+        "fee_rate": rel.fee_rate,
+        "max_fee": max_fed_fee(spot, rel.special_haircut, rel.general_rate, rel.special_rate),
+        "general_lend": spot * (1.0 - rel.general_haircut),
+    }
+    require(FINITE, **{f"relations amount {name}": value for name, value in amounts.items()})
     outputs = {
         "currency": scenario.currency,
         "relations": dict(
             rel._asdict(),
             general_rate=rate_per_period(rel.general_rate, td),
             special_rate=rate_per_period(rel.special_rate, td),
-            general_rate_pa=rate_per_annum(rel.general_rate * per_year, dc),
-            special_rate_pa=rate_per_annum(rel.special_rate * per_year, dc),
-            fee_rate=rate_per_period(rel.fee_rate, td),
-            max_fee=max_fed_fee(spot, rel.special_haircut, rel.general_rate, rel.special_rate),
-            general_lend=spot * (1.0 - rel.general_haircut),
+            general_rate_pa=rate_per_annum(amounts["general_rate_pa"], dc),
+            special_rate_pa=rate_per_annum(amounts["special_rate_pa"], dc),
+            fee_rate=rate_per_period(amounts["fee_rate"], td),
+            max_fee=amounts["max_fee"],
+            general_lend=amounts["general_lend"],
             balance_residual=rel.balance_residual(),
             regime=regime,
         ),

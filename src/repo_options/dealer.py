@@ -33,11 +33,10 @@ which is why the leg is assessed as a net.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
-from .errors import (COUNT, HAIRCUT, NON_NEGATIVE, POSITIVE, RATE, CheckedRecord, LiquidityError,
-                     ValidationError, require)
+from .errors import (COUNT, FINITE, HAIRCUT, NON_NEGATIVE, POSITIVE, RATE, CheckedRecord,
+                     LiquidityError, require)
 
 RELATIVE_TOLERANCE = 1e-9
 
@@ -66,11 +65,9 @@ class DealerScenario(CheckedRecord, _DealerFields):
               ("special_haircut", HAIRCUT), ("general_haircut", HAIRCUT))
 
     def _check(self):
-        for name in ("spot_value", "intermediate_value", "client_loan", "general_lend",
-                     "client_repayment", "general_repayment"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValidationError(f"ledger amount {name} overflows to {value!r}")
+        require(FINITE, **{f"ledger amount {name}": getattr(self, name) for name in (
+            "spot_value", "intermediate_value", "client_loan", "general_lend",
+            "client_repayment", "general_repayment")})
         require(NON_NEGATIVE, fed_fee=self.fed_fee)  # after the ledger, whose overflow wins
 
     @property

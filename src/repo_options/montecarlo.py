@@ -16,18 +16,17 @@ contract: do not change CHUNK_SIZE or the seeding scheme without bumping
 the protocol note above.
 
 Scheduling: the chunks run on ``w = min(usable CPUs, chunks)`` worker
-threads (numpy's generator and reductions release the GIL).  Worker ``k``
-runs chunks ``k, k + w, k + 2w, ...`` in place in its own float64 buffer:
-one chunk's values and one scratch block of ``BLOCK`` values (~8.5 MB per
-worker at ``CHUNK_SIZE``), allocated up front by the calling thread, so a
-chunk allocates no array of its own, and writes each chunk's moments into
-its slot of the ordered list.  The kernel works through a chunk block by
-block, so the arithmetic on a block stays in cache, and adds the block
-sums up numpy's own pairwise summation tree (``_pairwise``), so the
-estimates are bit-identical to whole-chunk array expressions.  Each buffer
-lives in an anonymous memory map of its own, so its memory goes back to
-the OS when the call returns, whatever the C heap's layout.  With one
-worker the chunks run in the calling thread and no pool is started.
+threads (numpy's generator and reductions release the GIL), one task per
+chunk, so a free worker takes the next chunk.  A chunk works in place in
+one of ``w`` float64 buffers, each one chunk's values and one scratch block
+of ``BLOCK`` values (~8.5 MB at ``CHUNK_SIZE``), mapped up front by the
+calling thread, so a chunk allocates no array of its own.  The kernel
+works through a chunk block by block, so the arithmetic on a block stays
+in cache, and adds the block sums up numpy's own pairwise summation tree
+(``_pairwise``), so the estimates are bit-identical to whole-chunk array
+expressions.  Each buffer lives in an anonymous memory map of its own, so
+its memory goes back to the OS when the call returns, whatever the C
+heap's layout.  With one worker the chunks run in the calling thread.
 
 numpy and ``mmap`` are imported by the functions that sample, and
 ``concurrent.futures`` only when a pool is needed, so commands that never
@@ -194,25 +193,27 @@ def mc_sample_stats(strike: float, g: GaussianParams, n: int, seed: int,
     counts = [min(CHUNK_SIZE, n - start) for start in range(0, n, CHUNK_SIZE)]
     workers = min(_usable_cpus(), len(counts))
     # a chunk's values, then one scratch block
-    buffers = [_mapped_buffer(np, counts[0] + min(BLOCK, counts[0])) for _ in range(workers)]
-    chunks = [None] * len(counts)
+    free = [_mapped_buffer(np, counts[0] + min(BLOCK, counts[0])) for _ in range(workers)]
 
-    def lane(k):
-        """Moments of chunks k, k + workers, ... computed in worker k's buffer."""
-        x, scratch = buffers[k][:counts[0]], buffers[k][counts[0]:]
-        # an overflow reaches the report's finite-output check; no numpy warning on stderr
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(k, len(counts), workers):
-                rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
-                chunks[i] = _chunk_moments(mode, strike, g, rng, x[:counts[i]], scratch)
+    def chunk(i):
+        """Moments of chunk i, computed in a buffer no other running chunk holds."""
+        buffer = free.pop()  # at most `workers` chunks run at once, so one is free
+        try:
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
+            # an overflow reaches the report's finite-output check; no numpy warning on stderr
+            with np.errstate(over="ignore", invalid="ignore"):
+                return _chunk_moments(mode, strike, g, rng, buffer[:counts[i]],
+                                      buffer[counts[0]:])
+        finally:
+            free.append(buffer)
 
     if workers == 1:
-        lane(0)
+        chunks = list(map(chunk, range(len(counts))))
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(lane, range(workers)))  # re-raises a lane's exception
+            chunks = list(pool.map(chunk, range(len(counts))))  # re-raises a chunk's exception
 
     n_total, mean, m2, _m3, m4 = functools.reduce(_merge_moments, chunks)
     if m2 <= 0.0:

@@ -45,7 +45,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple, NoReturn
 
 from .dealer import DealerScenario
-from .errors import FINITE, ParseError, ValidationError, capped_path, short_repr
+from .errors import RATE, ParseError, ValidationError, capped_path, short_repr
 from .general_repo import MarketParams, strike_from_sigma_multiple
 from .special_repo import SpecialRepoRelations, build_special_relations, max_fed_fee
 
@@ -301,9 +301,10 @@ def _engine_input(kind: str, market: MarketParams,
     rates = {name: float(terms[name]) * market.period_years
              for name in ("special_rate", "general_rate") if name in terms}
     for name, rate in rates.items():  # the special side first, as the records name it
-        if not FINITE.test(rate):
-            raise ValidationError(f"scenario rejected at /terms/{name}: "
-                                  f"{float(terms[name])!r} per annum is {rate!r} per period")
+        if not RATE.test(rate):
+            raise ValidationError(f"scenario rejected at /terms/{name}: {float(terms[name])!r} "
+                                  f"per annum is {rate!r} per period; a per-period rate must be "
+                                  f"finite and {RATE.text}")
     if kind == "special_relations":
         haircut = terms.get("special_haircut")
         return build_special_relations(

@@ -556,15 +556,16 @@ def test_mc_sample_budget_is_exit_3(capsys, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
 def test_non_finite_report_value_is_exit_4(capsys, tmp_path, fmt):
-    # a per-annum general rate of 1e308 makes the largest fed fee overflow
-    doc = json.loads(Path(RELATIONS).read_text("utf-8"))
-    doc["terms"]["general_rate"] = 1e308
-    path = tmp_path / "overflowing_fee.json"
+    # a subnormal spot underflows S/K: a finite premium over the spot overflows its rate
+    doc = json.loads(Path(SPECIAL).read_text("utf-8"))
+    doc["market"].update(spot_price=5e-324, volatility=1.0)
+    doc["terms"] = {"repurchase_price": 2.0}
+    path = tmp_path / "overflowing_premium_rate.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["price-special", str(path), "--format", fmt]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: report value outputs.relations.max_fee is inf")
+    assert captured.err.startswith("error: report value outputs.quote.premium_rate is inf")
 
 
 def _finite_leaves(value) -> bool:
@@ -596,15 +597,15 @@ def _finite_leaves(value) -> bool:
         # domain, not reported as a closing leg with NaN slack
         ("dealer-sim", "dealer_gain_funded.json", {},
          {"special_rate": 1e308, "general_rate": 1e308}, 3,
-         "ledger amount client_repayment overflows to inf"),
+         "error: ledger amount client_repayment must be finite, got inf\n"),
         # haircuts so low that the loans overflow: refused before the fee, which
         # "max" makes inf as well
         ("dealer-sim", "dealer_max_fee.json", {},
          {"special_haircut": -1e308, "general_haircut": -1e308, "fed_fee": 0}, 3,
-         "ledger amount client_loan overflows to inf"),
+         "error: ledger amount client_loan must be finite, got inf\n"),
         ("dealer-sim", "dealer_max_fee.json", {},
          {"special_haircut": -1e308, "general_haircut": -1e308, "fed_fee": "max"}, 3,
-         "ledger amount client_loan overflows to inf"),
+         "error: ledger amount client_loan must be finite, got inf\n"),
         # e^{-rT} would overflow, but only past r*t < -709, where 1 + r*t is negative:
         # refused with the market
         ("price-special", "special_lender_fail.json",
@@ -630,18 +631,35 @@ def _finite_leaves(value) -> bool:
         ("dealer-sim", "dealer_gain_funded.json", {}, {"fed_fee": "max"}, 3,
          'scenario rejected at /terms/fed_fee: "max" resolves to -5.444546287809349: '
          "special_rate 0.05 is above general_rate 0.03, so no fee can be funded"),
-        # two faults: the special rate derived from the haircut, -2.96 per period, and the
-        # general rate, -2 per period; the special side is named first, as derived
+        # two faults: the general rate, -2 per period, and the special rate derived from the
+        # haircut, -2.96 per period; the given rate is refused at its pointer before any
+        # side is derived from it
         ("price-special", "relations_guaranteed_delivery.json", {},
          {"general_rate": -24.0, "special_haircut": 0.5}, 3,
-         "error: special_rate derived from special_haircut must be > -1, got -2.96\n"),
-        # a per-annum rate that overflows per period is refused at its pointer
+         "error: scenario rejected at /terms/general_rate: -24.0 per annum is -2.0 per period; "
+         "a per-period rate must be finite and > -1\n"),
+        # a per-annum rate that is <= -1 or overflows per period is refused at its pointer,
+        # not blamed on the special haircut derived from it
+        ("price-special", "relations_normal.json", {}, {"general_rate": -400}, 3,
+         "error: scenario rejected at /terms/general_rate: -400.0 per annum is "
+         "-33.33333333333333 per period; a per-period rate must be finite and > -1\n"),
+        ("dealer-sim", "dealer_gain_funded.json", {}, {"general_rate": -400}, 3,
+         "error: scenario rejected at /terms/general_rate: -400.0 per annum is "
+         "-1.1111111111111112 per period; a per-period rate must be finite and > -1\n"),
         ("price-special", "relations_normal.json", {"tenor_days": 730},
          {"general_rate": 1e308}, 3,
-         "error: scenario rejected at /terms/general_rate: 1e+308 per annum is inf per period\n"),
+         "error: scenario rejected at /terms/general_rate: 1e+308 per annum is inf per period; "
+         "a per-period rate must be finite and > -1\n"),
         ("dealer-sim", "dealer_gain_funded.json", {"tenor_days": 730},
          {"general_rate": 1e308}, 3,
-         "error: scenario rejected at /terms/general_rate: 1e+308 per annum is inf per period\n"),
+         "error: scenario rejected at /terms/general_rate: 1e+308 per annum is inf per period; "
+         "a per-period rate must be finite and > -1\n"),
+        # amounts the relations report computes from the spot, overflowed: refused by name,
+        # not left to the renderers' finite-output check
+        ("price-special", "relations_normal.json", {}, {"general_haircut": -1e306}, 3,
+         "error: relations amount max_fee must be finite, got inf\n"),
+        ("price-special", "relations_normal.json", {}, {"general_rate": 1e306}, 3,
+         "error: relations amount max_fee must be finite, got inf\n"),
         # a near-zero strike over ten years at 50 %: the Black-Scholes haircut is the
         # whole spot, so the loan it implies is not positive
         ("price-general", "general_3sigma.json",
@@ -776,13 +794,8 @@ def _assert_in_domain(command, scenario, outputs):
     assert all(3 * sys.float_info.epsilon * spot < h <= spot for h in haircuts), haircuts
 
 
-def _assert_finite_or_typed_error(tmp_path_factory, command, doc, huge_field, flags=()):
-    """Run ``command`` on the schema-valid ``doc``: exit 0 with finite strict JSON, or a
-    typed error (exit 3/4/5, ``error:`` on stderr, nothing on stdout); no warning either way."""
-    validate_scenario_data(doc)
-    # the schema accepts any integer here; validation refuses one past the float range
-    if huge_field is not None:
-        doc["market"][huge_field] = 10**400
+def _run_main(tmp_path_factory, command, doc, flags):
+    """Exit code, stdout and stderr of ``command`` on ``doc``; no warning is raised."""
     path = tmp_path_factory.mktemp("property") / "scenario.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     out, err = io.StringIO(), io.StringIO()
@@ -791,14 +804,130 @@ def _assert_finite_or_typed_error(tmp_path_factory, command, doc, huge_field, fl
         warnings.simplefilter("always")
         code = main([command, str(path), *flags, "--format", "json"])
     assert not caught, [str(w.message) for w in caught]
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_finite_or_typed_error(tmp_path_factory, command, doc, huge_field, flags=()):
+    """Run ``command`` on the schema-valid ``doc``: exit 0 with finite strict JSON, or a
+    typed error (exit 3/4/5, ``error:`` on stderr, nothing on stdout); no warning either way.
+    Then hold the run to the scale law (``_assert_scale_law``); returns the pairs skipped."""
+    validate_scenario_data(doc)
+    # the schema accepts any integer here; validation refuses one past the float range
+    if huge_field is not None:
+        doc["market"][huge_field] = 10**400
+    code, out, err = _run_main(tmp_path_factory, command, doc, flags)
+    report = None
     if code == 0:
-        report = json.loads(out.getvalue(), parse_constant=_reject_constant)
+        report = json.loads(out, parse_constant=_reject_constant)
         assert _finite_leaves(report)
         _assert_in_domain(command, parse_scenario(doc), report["outputs"])
     else:
-        assert code in (3, 4, 5), err.getvalue()
-        assert out.getvalue() == ""
-        assert err.getvalue().startswith("error: ")
+        assert code in (3, 4, 5), err
+        assert out == ""
+        assert err.startswith("error: ")
+    return sum(not _assert_scale_law(tmp_path_factory, command, doc, flags, code, report, factor)
+               for factor in (2.0, 0.5))
+
+
+#: The float leaves of each command's report that are money (a list index reads as
+#: ``[]``): scaling every money input by a power of two scales these exactly and leaves
+#: every other leaf of ``outputs`` and ``oracle`` bit-identical.
+_ORACLE_MONEY = {"estimate.mean", "estimate.sd", "estimate.se_mean", "estimate.se_sd",
+                 "closed_form.mean", "closed_form.sd", "delta_mean", "delta_sd"}
+_MONEY_PATHS = {
+    "price-general": {"quote.forward_mean", "quote.haircut", "quote.lent_amount",
+                      "quote.option_value_mean", "quote.repurchase_price", "quote.revenue_mean",
+                      "quote.revenue_sd_abs", "benchmark.bs_haircut", "benchmark.haircut_gap",
+                      *_ORACLE_MONEY},
+    "price-special": {"quote.lent_amount", "quote.premium", "quote.put_value_mean",
+                      "quote.repurchase_price", "relations.general_lend", "relations.max_fee",
+                      *_ORACLE_MONEY},
+    "dealer-sim": {"resolved_fed_fee", "steps[].cash", "steps[].cash_delta", "steps[].collateral",
+                   "steps[].collateral_delta", "liquidity[].slack", "cashflow.decomposition_gap",
+                   "cashflow.interest_and_fees", "cashflow.ledger_cash", "cashflow.speculative",
+                   "cashflow.total"},
+    "compare-bs": {"rows[].strike", "rows[].haircut", "rows[].bs_haircut", "rows[].gap"},
+}
+
+
+def _money_terms(terms):
+    """The money terms ``terms`` gives as numbers; a ``fed_fee`` of ``"max"`` is computed."""
+    return [name for name in ("repurchase_price", "note_spot", "intermediate_price", "fed_fee")
+            if name in terms and terms[name] != "max"]
+
+
+def _keeps_bits(value, factor) -> bool:
+    """Whether ``value`` and ``value * factor`` are both zero or normal floats."""
+    return value == 0.0 or sys.float_info.min <= abs(value) and \
+        sys.float_info.min <= abs(value * factor) <= sys.float_info.max
+
+
+def _money_values(doc, strikes):
+    """The money values a run of ``doc`` reads: the spot, the money terms, a ladder's finite
+    strikes and, for a quote, the forward mean, spot * volatility and the forward sd, as
+    ``forward_gaussian`` computes them.  An integer past the float range reads as inf; one
+    in another market field leaves the forward out, since validation refuses it whatever
+    the scale."""
+    market = doc["market"]
+    money = [market["spot_price"], *(doc["terms"][name] for name in _money_terms(doc["terms"]))]
+    money = [float(v) if abs(v) < 2**1024 else math.inf for v in money]
+    money += filter(math.isfinite, strikes)
+    with contextlib.suppress(OverflowError):
+        if doc["kind"] in ("general", "special_lender"):
+            spot, y, vol = (float(market[k]) for k in ("spot_price", "intrinsic_yield",
+                                                       "volatility"))
+            t = market["tenor_days"] / market["day_count"]
+            money += [spot * (1.0 + y * t), spot * vol, spot * vol * math.sqrt(t)]
+    return money
+
+
+def _leaves(value, path=""):
+    """(path, leaf) pairs of a report section, a list index read as ``[]``."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _leaves(item, path + "[]")
+    else:
+        yield path, value
+
+
+def _assert_scale_law(tmp_path_factory, command, doc, flags, code, report, factor) -> bool:
+    """Rerun ``doc`` with every money input times ``factor``, a power of two, and assert the
+    same exit code; on exit 0, each float leaf of ``outputs`` and ``oracle`` is ``factor``
+    times the first run's on a ``_MONEY_PATHS`` path and the first run's bits elsewhere.
+    False, with nothing asserted, when a money value the runs read or a money leaf of
+    either report is subnormal or overflows, so that scaling it rounds."""
+    ladder = command == "compare-bs"
+    strikes = [float(s) for s in flags[0].partition("=")[2].split(",")] if ladder else []
+    if not all(_keeps_bits(v, factor) for v in _money_values(doc, strikes)):
+        return False
+    scaled = {**doc, "market": dict(doc["market"], spot_price=doc["market"]["spot_price"]
+                                    * factor), "terms": dict(doc["terms"])}
+    for name in _money_terms(doc["terms"]):
+        scaled["terms"][name] *= factor
+    if ladder:
+        flags = ("--strikes=" + ",".join(repr(s * factor) for s in strikes),)
+    scaled_code, out, err = _run_main(tmp_path_factory, command, scaled, flags)
+    other = json.loads(out) if scaled_code == 0 else None
+    sections = ("outputs", "oracle")
+    for run, to_other in ((report, factor), (other, 1.0 / factor)):
+        if run is not None and not all(
+                _keeps_bits(v, to_other) for name in sections
+                for path, v in _leaves(run.get(name)) if path in _MONEY_PATHS[command]):
+            return False
+    assert scaled_code == code, (factor, doc, flags, err)
+    for name in sections if code == 0 else ():
+        for (path, first), (scaled_path, second) in zip(
+                _leaves(report.get(name)), _leaves(other.get(name)), strict=True):
+            assert scaled_path == path and type(second) is type(first), (path, first, second)
+            if isinstance(first, float):
+                expected = first * factor if path in _MONEY_PATHS[command] else first
+                assert second.hex() == expected.hex(), (factor, path, first, second)
+            else:
+                assert second == first, (path, first, second)
+    return True
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -806,6 +935,10 @@ def _assert_finite_or_typed_error(tmp_path_factory, command, doc, huge_field, fl
        huge_field=_past_float_range, mc=_mc)
 def test_schema_valid_quotes_are_finite_or_typed_errors(tmp_path_factory, kind,
                                                         market_and_terms, huge_field, mc):
+    # Also the scale law at x2 and x0.5: 175 of the 400 pairs are checked, and 225 skipped
+    # because a money value is subnormal or overflows (mostly the extreme floats hypothesis
+    # favours, and a spot past the float range).  A comment, not a docstring, since
+    # hypothesis derives a derandomized test's examples from its source without comments.
     market, terms = market_and_terms
     doc = {"schema_version": "1", "kind": kind, "market": market, "terms": terms}
     if mc is not None:
@@ -896,9 +1029,28 @@ def _compare_bs_case(draw):
 def test_schema_valid_relations_dealer_and_ladders_are_finite_or_typed_errors(
     tmp_path_factory, case, huge_field
 ):
+    # Also the scale law at x2 and x0.5: 412 of the 800 pairs are checked, and 388 skipped
+    # because a money value is subnormal or overflows.
     command, kind, market, terms, flags = case
     doc = {"schema_version": "1", "kind": kind, "market": market, "terms": terms}
     _assert_finite_or_typed_error(tmp_path_factory, command, doc, huge_field, flags)
+
+
+@pytest.mark.parametrize("command, base, flags", [
+    ("price-general", "general_3sigma.json", ("--seed", "3")),
+    ("price-general", "general_2sigma_mc.json", ()),
+    ("price-special", "special_lender_fail.json", ("--seed", "3")),
+    ("price-special", "relations_normal.json", ()),
+    ("price-special", "relations_guaranteed_delivery.json", ()),
+    ("dealer-sim", "dealer_max_fee.json", ()),
+    ("dealer-sim", "dealer_gain_funded.json", ("--no-strict",)),
+    ("dealer-sim", "dealer_overdrawn_fee.json", ()),
+    ("compare-bs", "general_3sigma.json", ("--strikes=90000,97003.92,98005.39,110000",)),
+])
+def test_bundled_reports_obey_the_scale_law(tmp_path_factory, command, base, flags):
+    # oracle sections included; no bundled money value is near the float range's ends
+    doc = json.loads((SCENARIO_DIR / base).read_text("utf-8"))
+    assert _assert_finite_or_typed_error(tmp_path_factory, command, doc, None, flags) == 0
 
 
 def test_argparse_errors_are_exit_2(capsys):

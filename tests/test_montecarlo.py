@@ -137,19 +137,19 @@ def test_block_sums_fold_to_numpys_own_sum():
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("n", [17, CHUNK_SIZE, 3 * CHUNK_SIZE + CHUNK_SIZE // 2])
 def test_worker_count_does_not_change_the_estimate(monkeypatch, mode, n):
-    kernel = montecarlo._chunk_moments
+    mapped_buffer = montecarlo._mapped_buffer
     estimates, buffers = {}, {}
     for cpus in (1, 2, 3, 5):
-        used = set()
+        maps = []
 
         def spy(*args):
-            used.add(args[-1].__array_interface__["data"][0])  # the lane's scratch block
-            return kernel(*args)
+            maps.append(args)
+            return mapped_buffer(*args)
 
         monkeypatch.setattr(montecarlo, "_usable_cpus", lambda cpus=cpus: cpus)
-        monkeypatch.setattr(montecarlo, "_chunk_moments", spy)
+        monkeypatch.setattr(montecarlo, "_mapped_buffer", spy)
         estimates[cpus] = mc_sample_stats(97.0, G, n, 8, mode)
-        buffers[cpus] = len(used)
+        buffers[cpus] = len(maps)
     assert estimates[2] == estimates[1]
     assert estimates[3] == estimates[1]
     assert estimates[5] == estimates[1]
@@ -162,7 +162,7 @@ def test_five_lanes_under_constant_thread_switching_give_the_same_bits(monkeypat
     import sys
     import threading
 
-    n = 6 * CHUNK_SIZE + 3  # seven chunks: two lanes run two each
+    n = 6 * CHUNK_SIZE + 3  # seven chunks: two run after a lane frees its buffer
     one_lane = mc_sample_stats(97.0, G, n, 8, "put-payoff")
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 5)
     five_lanes = []
@@ -193,14 +193,14 @@ def test_buffers_are_released_when_the_call_returns(monkeypatch):
     monkeypatch.setattr(mmap, "mmap", Tracked)
     monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
     mc_sample_stats(97.0, G, 3 * CHUNK_SIZE, 8, "min")
-    # one map per lane: a chunk's values, then one scratch block
+    # one map per worker: a chunk's values, then one scratch block
     assert [len(m) for m in maps] == [8 * (CHUNK_SIZE + BLOCK)] * 2
     for m in maps:
         m.close()  # raises BufferError while any array still uses the map
 
 
 def test_a_workers_exception_reaches_the_caller(monkeypatch):
-    # lanes return nothing, so only collecting pool.map's results re-raises this
+    # only collecting pool.map's results re-raises this
     kernel = montecarlo._chunk_moments
 
     def failing(mode, strike, g, rng, x, scratch):
