@@ -72,7 +72,7 @@ class MarketParams(CheckedRecord, _MarketFields):
     def _check(self):
         if self.day_count not in VALID_DAY_COUNTS:
             raise ValidationError(f"day_count must be one of {VALID_DAY_COUNTS}, "
-                                  f"got {self.day_count!r}")
+                                  f"got {short_repr(self.day_count)}")
         for name in ("intrinsic_yield", "risk_free_rate"):
             factor = 1.0 + getattr(self, name) * self.period_years
             if not factor > 0.0:

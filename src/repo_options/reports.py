@@ -44,7 +44,7 @@ from operator import itemgetter
 from typing import Any
 
 from . import __version__
-from .errors import PricingError, ValidationError
+from .errors import PricingError, ValidationError, short_repr
 
 REPORT_SCHEMA_VERSION = "1"
 
@@ -273,4 +273,4 @@ def render(doc: dict[str, Any], fmt: str) -> str:
         return to_csv(doc)
     if fmt == "table":
         return to_table(doc)
-    raise ValidationError(f"unknown output format {fmt!r}; expected one of {FORMATS}")
+    raise ValidationError(f"unknown output format {short_repr(fmt)}; expected one of {FORMATS}")

@@ -1,8 +1,9 @@
 """Acceptance suite: every tracked figure checked at its stated tolerance.
 
-Each test covers one numbered criterion and prints a single pass/fail
-line (visible with ``pytest -s``; ``pytest -v`` shows one verdict per
-criterion through the test names as well).
+Criteria 1-9 read ``reference.build_reference_rows`` by row name, so each paper figure and
+its tolerance is stated once, in ``reference.py``; criteria 10-14 are randomized properties.
+Each test covers one numbered criterion, in its name or id, and prints one pass/fail line
+(visible with ``pytest -s``).
 """
 
 import numpy as np
@@ -12,16 +13,14 @@ from repo_options import (
     GaussianParams,
     LiquidityError,
     MarketParams,
-    bs_haircut,
+    build_reference_rows,
     build_special_relations,
     censored_min_mean,
     censored_min_sd,
-    forward_gaussian,
     haircut_identity_residual,
     max_fed_fee,
     mc_sample_stats,
     price_general_repo,
-    price_lender_fail,
     put_payoff_mean,
     run_dealer_scenario,
     strike_from_sigma_multiple,
@@ -29,21 +28,27 @@ from repo_options import (
 from repo_options.dealer import DealerScenario, check_liquidity
 from repo_options.special_repo import haircut_from_rates, rate_from_haircuts
 
-MARKET = MarketParams(
-    spot_price=100_000.0,
-    intrinsic_yield=0.03,
-    volatility=0.19,
-    tenor_days=1,
-    risk_free_rate=0.0,
-    day_count=360,
-)
+#: Criterion number: its label and the names of the reference rows it checks.
+FIGURES = {
+    1: ("forward value mean", ["case1_forward_mean"]),
+    2: ("repurchase price three sigma below forward", ["case1_repurchase_price"]),
+    3: ("lender revenue mean, closed form vs simulation",
+        ["case1_revenue_mean", "case1_revenue_mean_mc_z"]),
+    4: ("revenue dispersion as percent of spot", ["case1_revenue_sd_pct_of_spot"]),
+    5: ("haircut and option-pricing benchmark",
+        ["case1_haircut", "case1_bs_haircut", "case1_haircut_gap_abs"]),
+    6: ("implied repo rate", ["case1_repo_rate_pct_pa"]),
+    7: ("two-sigma repurchase quote",
+        ["case2_repurchase_price", "case2_revenue_mean", "case2_revenue_sd_pct_of_spot"]),
+    8: ("two-sigma rates and haircut", ["case2_lender_rate_pct_pa", "case2_haircut",
+                                        "case2_bs_haircut", "case2_repo_rate_pct_pa"]),
+    9: ("lender-fail premium and return", ["special_premium", "special_lent_amount",
+                                           "special_rate_pct_pa", "special_put_value_mean"]),
+}
 
-FORWARD = forward_gaussian(MARKET)
-STRIKE_1 = strike_from_sigma_multiple(MARKET, 3.0)
-STRIKE_2 = strike_from_sigma_multiple(MARKET, 2.0)
-QUOTE_1 = price_general_repo(MARKET, STRIKE_1)
-QUOTE_2 = price_general_repo(MARKET, STRIKE_2)
-LENDER_FAIL = price_lender_fail(MARKET, FORWARD.mean)
+#: Rows held tighter here than in ``reference.py``: case 1's simulation z (seed 42,
+#: 10M samples), which ``reproduce-examples --mc`` bounds at ``MC_Z_BOUND``.
+TIGHTER = {"case1_revenue_mean_mc_z": 3.0}
 
 
 def _criterion(num: int, label: str, checks) -> None:
@@ -61,73 +66,18 @@ def _criterion(num: int, label: str, checks) -> None:
     assert not failures, f"criterion {num} {label}: " + "; ".join(failures)
 
 
-def test_criterion_01_forward_value_mean():
-    _criterion(1, "forward value mean", [
-        ("forward_mean", FORWARD.mean, 100008.33, 0.01),
-    ])
+@pytest.fixture(scope="module")
+def reference_rows():
+    """The ``mc=True`` rows by name, each at the tighter of its tolerance and ``TIGHTER``'s."""
+    return {r.name: r._replace(tolerance=min(r.tolerance, TIGHTER.get(r.name, r.tolerance)))
+            for r in build_reference_rows(mc=True)}
 
 
-def test_criterion_02_three_sigma_repurchase_price():
-    _criterion(2, "repurchase price three sigma below forward", [
-        ("repurchase_price", STRIKE_1, 97003.92, 0.10),
-    ])
-
-
-def test_criterion_03_censored_revenue_mean_closed_form_and_simulation():
-    est = mc_sample_stats(STRIKE_1, FORWARD, 10_000_000, 42, "min")
-    z = (QUOTE_1.revenue_mean - est.mean) / est.se_mean
-    _criterion(3, "lender revenue mean, closed form vs simulation", [
-        ("revenue_mean", QUOTE_1.revenue_mean, 97003.53, 0.05),
-        ("simulation_z", z, 0.0, 3.0),
-    ])
-
-
-def test_criterion_04_revenue_dispersion():
-    _criterion(4, "revenue dispersion as percent of spot", [
-        ("revenue_sd_pct", 100.0 * QUOTE_1.revenue_sd, 0.015, 0.002),
-    ])
-
-
-def test_criterion_05_haircut_vs_option_benchmark():
-    benchmark = bs_haircut(MARKET, STRIKE_1)
-    _criterion(5, "haircut and option-pricing benchmark", [
-        ("haircut", QUOTE_1.haircut, 2996.47, 0.50),
-        ("bs_haircut", benchmark, 2996.41, 1.00),
-        ("haircut_gap_abs", abs(QUOTE_1.haircut - benchmark), 0.0, 1.5),
-    ])
-
-
-def test_criterion_06_repo_rate():
-    _criterion(6, "implied repo rate", [
-        ("repo_rate_pct_pa", 100.0 * QUOTE_1.repo_rate, 0.14, 0.02),
-    ])
-
-
-def test_criterion_07_two_sigma_quote():
-    _criterion(7, "two-sigma repurchase quote", [
-        ("repurchase_price", STRIKE_2, 98005.39, 0.10),
-        ("revenue_mean", QUOTE_2.revenue_mean, 97996.89, 0.10),
-        ("revenue_sd_pct", 100.0 * QUOTE_2.revenue_sd, 0.077, 0.004),
-    ])
-
-
-def test_criterion_08_two_sigma_rates_and_haircut():
-    benchmark = bs_haircut(MARKET, STRIKE_2)
-    _criterion(8, "two-sigma rates and haircut", [
-        ("lender_rate_pct_pa", 100.0 * QUOTE_2.lender_rate, 0.018, 0.003),
-        ("haircut", QUOTE_2.haircut, 2003.16, 0.50),
-        ("bs_haircut", benchmark, 2002.76, 1.00),
-        ("repo_rate_pct_pa", 100.0 * QUOTE_2.repo_rate, 3.1, 0.2),
-    ])
-
-
-def test_criterion_09_lender_fail_quote():
-    _criterion(9, "lender-fail premium and return", [
-        ("premium", LENDER_FAIL.premium, 403.69, 1.00),
-        ("lent_amount", LENDER_FAIL.lent_amount, 100403.69, 1.00),
-        ("special_rate_pct_pa", 100.0 * LENDER_FAIL.special_rate, -142.0, 2.0),
-        ("put_value_mean", LENDER_FAIL.put_value_mean, 399.53, 0.50),
-    ])
+@pytest.mark.parametrize("num", FIGURES, ids="{:02d}".format)
+def test_criterion(reference_rows, num):
+    label, names = FIGURES[num]
+    # a ReferenceRow starts with the (name, computed, expected, tolerance) of a check
+    _criterion(num, label, [reference_rows[name][:4] for name in names])
 
 
 def test_criterion_10_haircut_identity_randomized():

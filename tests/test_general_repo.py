@@ -24,19 +24,13 @@ from repo_options import (
     lender_rate_from_bs,
     price_general_ladder,
     price_general_repo,
+    reference_market,
     strike_from_sigma_multiple,
 )
 from repo_options.cli import compare_bs_report
 from repo_options.scenarios import load_scenario
 
-MARKET = MarketParams(
-    spot_price=100000.0,
-    intrinsic_yield=0.03,
-    volatility=0.19,
-    tenor_days=1,
-    risk_free_rate=0.0,
-    day_count=360,
-)
+MARKET = reference_market()
 
 
 def test_forward_gaussian_frozen():

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repo_options import (
-    MarketParams,
     SpecialRepoRelations,
     ValidationError,
     build_special_relations,
@@ -15,17 +14,11 @@ from repo_options import (
     forward_gaussian,
     max_fed_fee,
     price_lender_fail,
+    reference_market,
 )
 from repo_options.special_repo import haircut_from_rates, rate_from_haircuts
 
-MARKET = MarketParams(
-    spot_price=100000.0,
-    intrinsic_yield=0.03,
-    volatility=0.19,
-    tenor_days=1,
-    risk_free_rate=0.0,
-    day_count=360,
-)
+MARKET = reference_market()
 
 
 # --- lender-fail quote (premium convention) ---
