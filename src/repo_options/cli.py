@@ -73,17 +73,13 @@ from .special_repo import classify_regime, max_fed_fee, price_lender_fail
 DEFAULT_ORACLE_N = 1_000_000
 
 
-def _oracle_section(
-    mode: str,
-    strike: float,
-    scenario: Scenario,
-    seed_override: int | None,
-    **closed: float,
-) -> dict | None:
+def _oracle_section(mode: str, scenario: Scenario, seed_override: int | None,
+                    **closed: float) -> dict | None:
     """Simulation cross-check section, or None when neither mc nor --seed asks for one.
 
-    A scenario's ``mc`` section sets n and seed, ``--seed`` overrides the
-    seed; ``--seed`` alone runs DEFAULT_ORACLE_N samples.  ``closed`` holds the
+    It samples at the scenario's repurchase price, ``scenario.terms``.  A
+    scenario's ``mc`` section sets n and seed, ``--seed`` overrides the seed;
+    ``--seed`` alone runs DEFAULT_ORACLE_N samples.  ``closed`` holds the
     closed-form value of each statistic compared (``mean``, and ``sd`` if given):
     each gets ``delta_<stat>`` and ``z_<stat>``, or, when its standard error is 0,
     an entry in ``z_omitted`` saying why there is no z.
@@ -95,7 +91,7 @@ def _oracle_section(
         n, seed = DEFAULT_ORACLE_N, seed_override
     else:
         return None
-    est = mc_sample_stats(strike, forward_gaussian(scenario.market), n, seed, mode)
+    est = mc_sample_stats(scenario.terms, forward_gaussian(scenario.market), n, seed, mode)
     estimate = {"mean": est.mean, "sd": est.sd, "se_mean": est.se_mean, "se_sd": est.se_sd}
     section: dict = {"mode": mode, "n": est.n_samples, "seed": est.seed,
                      "estimate": estimate, "closed_form": closed}
@@ -108,6 +104,14 @@ def _oracle_section(
             section.setdefault("z_omitted", {})[f"z_{stat}"] = (
                 f"se_{stat} is 0, so delta_{stat} cannot be measured in standard errors")
     return section
+
+
+def _scenario_report(command: str, scenario: Scenario, oracle: dict | None = None,
+                     **outputs) -> dict:
+    """Report document for a scenario: its file as ``inputs``, its currency first in ``outputs``."""
+
+    return build_report(command=command, inputs=scenario.raw,
+                        outputs={"currency": scenario.currency, **outputs}, oracle=oracle)
 
 
 def general_report(scenario: Scenario, seed_override: int | None = None) -> dict:
@@ -124,23 +128,17 @@ def general_report(scenario: Scenario, seed_override: int | None = None) -> dict
         option_yield=rate_per_period(quote.option_yield, td),
     )
     quote_out["revenue_sd_pct_of_spot"] = 100.0 * quote_out.pop("revenue_sd")
-    outputs = {
-        "currency": scenario.currency,
-        "quote": quote_out,
-        "benchmark": {
+    return _scenario_report(
+        "price-general", scenario,
+        quote=quote_out,
+        benchmark={
             "bs_haircut": benchmark,
             "haircut_gap": quote.haircut - benchmark,
             "lender_rate_bs": rate_per_annum(lender_rate_from_bs(market, quote, benchmark), dc),
         },
-        "identity_residual": haircut_identity_residual(quote, market),
-    }
-    oracle = _oracle_section("min", strike, scenario, seed_override,
-                             mean=quote.revenue_mean, sd=quote.revenue_sd_abs)
-    return build_report(
-        command="price-general",
-        inputs=scenario.raw,
-        outputs=outputs,
-        oracle=oracle,
+        identity_residual=haircut_identity_residual(quote, market),
+        oracle=_oracle_section("min", scenario, seed_override,
+                               mean=quote.revenue_mean, sd=quote.revenue_sd_abs),
     )
 
 
@@ -150,21 +148,14 @@ def special_lender_report(scenario: Scenario, seed_override: int | None = None) 
     market, strike = scenario.market, scenario.terms
     quote = price_lender_fail(market, strike)
     dc, td = market.day_count, market.tenor_days
-    outputs = {
-        "currency": scenario.currency,
-        "quote": dict(
+    return _scenario_report(
+        "price-special", scenario,
+        quote=dict(
             quote._asdict(),
             special_rate=rate_per_annum(quote.special_rate, dc),
             trader_return=rate_per_period(quote.trader_return, td),
         ),
-    }
-    oracle = _oracle_section("put-payoff", strike, scenario, seed_override,
-                             mean=quote.put_value_mean)
-    return build_report(
-        command="price-special",
-        inputs=scenario.raw,
-        outputs=outputs,
-        oracle=oracle,
+        oracle=_oracle_section("put-payoff", scenario, seed_override, mean=quote.put_value_mean),
     )
 
 
@@ -183,22 +174,18 @@ def special_relations_report(scenario: Scenario) -> dict:
         "general_lend": spot * (1.0 - rel.general_haircut),
     }
     require(FINITE, **{f"relations amount {name}": value for name, value in amounts.items()})
-    outputs = {
-        "currency": scenario.currency,
-        "relations": dict(
-            rel._asdict(),
-            general_rate=rate_per_period(rel.general_rate, td),
-            special_rate=rate_per_period(rel.special_rate, td),
-            general_rate_pa=rate_per_annum(amounts["general_rate_pa"], dc),
-            special_rate_pa=rate_per_annum(amounts["special_rate_pa"], dc),
-            fee_rate=rate_per_period(amounts["fee_rate"], td),
-            max_fee=amounts["max_fee"],
-            general_lend=amounts["general_lend"],
-            balance_residual=rel.balance_residual(),
-            regime=regime,
-        ),
-    }
-    return build_report(command="price-special", inputs=scenario.raw, outputs=outputs)
+    return _scenario_report("price-special", scenario, relations=dict(
+        rel._asdict(),
+        general_rate=rate_per_period(rel.general_rate, td),
+        special_rate=rate_per_period(rel.special_rate, td),
+        general_rate_pa=rate_per_annum(amounts["general_rate_pa"], dc),
+        special_rate_pa=rate_per_annum(amounts["special_rate_pa"], dc),
+        fee_rate=rate_per_period(amounts["fee_rate"], td),
+        max_fee=amounts["max_fee"],
+        general_lend=amounts["general_lend"],
+        balance_residual=rel.balance_residual(),
+        regime=regime,
+    ))
 
 
 def dealer_report(scenario: Scenario, strict: bool) -> dict:
@@ -208,19 +195,18 @@ def dealer_report(scenario: Scenario, strict: bool) -> dict:
     steps, cashflow = run_dealer_scenario(ds, strict)
     conditions = check_liquidity(ds, strict)
     td = scenario.market.tenor_days
-    outputs = {
-        "currency": scenario.currency,
-        "strict": strict,
-        "resolved_fed_fee": ds.fed_fee,
-        "rates": {
+    return _scenario_report(
+        "dealer-sim", scenario,
+        strict=strict,
+        resolved_fed_fee=ds.fed_fee,
+        rates={
             "special_rate": rate_per_period(ds.special_rate, td),
             "general_rate": rate_per_period(ds.general_rate, td),
         },
-        "steps": [step._asdict() for step in steps],
-        "liquidity": [c._asdict() for c in conditions],
-        "cashflow": dict(cashflow._asdict(), decomposition_gap=cashflow.decomposition_gap),
-    }
-    return build_report(command="dealer-sim", inputs=scenario.raw, outputs=outputs)
+        steps=[step._asdict() for step in steps],
+        liquidity=[c._asdict() for c in conditions],
+        cashflow=dict(cashflow._asdict(), decomposition_gap=cashflow.decomposition_gap),
+    )
 
 
 def reproduce_report(day_count: int, mc: bool, seed: int, n: int) -> dict:
@@ -249,12 +235,10 @@ def compare_bs_report(scenario: Scenario, strikes: list[float]) -> dict:
     # every strike the pipeline accepts is a valid Black-Scholes strike, so pricing
     # the whole pipeline ladder first refuses the same strike, with the same error
     quotes = price_general_ladder(market, strikes)
-    rows = [
+    return _scenario_report("compare-bs", scenario, rows=[
         {"strike": strike, "haircut": q.haircut, "bs_haircut": bs, "gap": q.haircut - bs}
         for strike, q, bs in zip(strikes, quotes, bs_haircut_ladder(market, strikes))
-    ]
-    outputs = {"currency": scenario.currency, "rows": rows}
-    return build_report(command="compare-bs", inputs=scenario.raw, outputs=outputs)
+    ])
 
 
 def _parse_strikes(text: str) -> list[float]:

@@ -60,6 +60,23 @@ def test_price_general_outputs_quote(capsys):
     assert "oracle" not in doc
 
 
+@pytest.mark.parametrize("argv", [
+    ["price-general", GENERAL],
+    ["price-special", SPECIAL],
+    ["price-special", RELATIONS],
+    ["dealer-sim", DEALER_MAX],
+    ["compare-bs", GENERAL, "--strikes", "99000,100000"],
+], ids=lambda argv: f"{argv[0]}-{Path(argv[1]).stem}")
+def test_every_scenario_report_echoes_its_file_and_currency(capsys, tmp_path, argv):
+    doc = json.loads(Path(argv[1]).read_text("utf-8"))
+    doc["market"]["currency"] = "EUR"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    report = _run_json(capsys, [argv[0], str(path), *argv[2:]])
+    assert report["outputs"]["currency"] == "EUR"
+    assert report["inputs"] == doc
+
+
 def test_price_general_json_is_byte_identical(capsys):
     assert main(["price-general", GENERAL, "--format", "json"]) == 0
     first = capsys.readouterr().out
@@ -461,8 +478,9 @@ def _general_with_currency(literal: str) -> str:
 _NOT_JSON_TEXT = {
     "latin1-e-acute": _general_with_currency('"\xe9"').encode("latin-1"),
     "utf8-bom": b"\xef\xbb\xbf" + Path(GENERAL).read_bytes(),
+    # past the decoder's depth on every supported Python (Python 3.13 decodes ~10,000 levels)
     "array-100000-deep": b"[" * 100_000 + b"]" * 100_000,
-    "object-5000-deep": b'{"a":' * 5_000 + b"1" + b"}" * 5_000,
+    "object-100000-deep": b'{"a":' * 100_000 + b"1" + b"}" * 100_000,
     # I-JSON (RFC 7493 section 2.1): no format can encode a lone surrogate
     "lone-surrogate": _general_with_currency('"\\ud800"').encode("ascii"),
     # Python's json reads these tokens, but JSON (RFC 8259) has no such number
@@ -486,6 +504,21 @@ def test_a_file_that_is_not_json_text_is_exit_2(capsys, tmp_path, name):
             assert captured.out == ""
             assert re.fullmatch("error: invalid JSON in [^\n]*\n", captured.err)
             assert not out.exists()
+
+
+def test_a_value_nested_9000_deep_is_one_typed_error_on_every_python(capsys, tmp_path):
+    """The decoder refuses 9,000 levels before Python 3.13 (exit 2), and from 3.13 decodes
+    them, so the schema refuses the unknown key that holds them (exit 3)."""
+    path = tmp_path / "scenario.json"
+    path.write_text(Path(GENERAL).read_text("utf-8").replace(
+        '"terms": {', '"terms": {"x": ' + "[" * 9_000 + "]" * 9_000 + ", ", 1), encoding="utf-8")
+    expected = {2: "error: invalid JSON in ",
+                3: "error: scenario rejected at /terms: properties 'x' not allowed\n"}
+    for fmt in FORMATS:
+        code = main(["price-general", str(path), "--format", fmt])
+        captured = capsys.readouterr()
+        assert code in expected and captured.err.startswith(expected[code])
+        assert captured.out == "" and re.fullmatch("error: [^\n]*\n", captured.err)
 
 
 def test_a_surrogate_pair_escape_prices_and_prints_its_character(capsys, tmp_path):
