@@ -66,32 +66,26 @@ from .general_repo import (
 from .montecarlo import mc_sample_stats
 from .reference import DEFAULT_MC_N, DEFAULT_MC_SEED, build_reference_rows
 from .reports import FORMATS, build_report, rate_per_annum, rate_per_period, render
-from .scenarios import Scenario, load_scenario
+from .scenarios import SIMULATING_KINDS, McSettings, Scenario, load_scenario
 from .special_repo import classify_regime, max_fed_fee, price_lender_fail
 
-#: Oracle sample size when --seed is given without an mc section.
+#: Oracle sample size for ``--seed`` without an mc section; ``_report`` folds both into mc.
 DEFAULT_ORACLE_N = 1_000_000
 
 
-def _oracle_section(mode: str, scenario: Scenario, seed_override: int | None,
-                    **closed: float) -> dict | None:
-    """Simulation cross-check section, or None when neither mc nor --seed asks for one.
+def _oracle_section(mode: str, scenario: Scenario, **closed: float) -> dict | None:
+    """Simulation cross-check section, or None when ``scenario.mc`` is None.
 
-    It samples at the scenario's repurchase price, ``scenario.terms``.  A
-    scenario's ``mc`` section sets n and seed, ``--seed`` overrides the seed;
-    ``--seed`` alone runs DEFAULT_ORACLE_N samples.  ``closed`` holds the
+    It draws ``scenario.mc.n`` samples from seed ``scenario.mc.seed`` at the
+    scenario's repurchase price, ``scenario.terms``; ``_report`` has already
+    folded ``--seed`` into ``scenario.mc``.  ``closed`` holds the
     closed-form value of each statistic compared (``mean``, and ``sd`` if given):
     each gets ``delta_<stat>`` and ``z_<stat>``, or, when its standard error is 0,
     an entry in ``z_omitted`` saying why there is no z.
     """
-    if scenario.mc is not None:
-        n = scenario.mc.n
-        seed = seed_override if seed_override is not None else scenario.mc.seed
-    elif seed_override is not None:
-        n, seed = DEFAULT_ORACLE_N, seed_override
-    else:
+    if scenario.mc is None:
         return None
-    est = mc_sample_stats(scenario.terms, forward_gaussian(scenario.market), n, seed, mode)
+    est = mc_sample_stats(scenario.terms, forward_gaussian(scenario.market), *scenario.mc, mode)
     estimate = {"mean": est.mean, "sd": est.sd, "se_mean": est.se_mean, "se_sd": est.se_sd}
     section: dict = {"mode": mode, "n": est.n_samples, "seed": est.seed,
                      "estimate": estimate, "closed_form": closed}
@@ -114,8 +108,8 @@ def _scenario_report(command: str, scenario: Scenario, oracle: dict | None = Non
                         outputs={"currency": scenario.currency, **outputs}, oracle=oracle)
 
 
-def general_report(scenario: Scenario, seed_override: int | None = None) -> dict:
-    """Report document for a ``general`` scenario."""
+def general_report(scenario: Scenario) -> dict:
+    """Report document for a ``general`` scenario; ``_report`` folds ``--seed`` in mc."""
 
     market, strike = scenario.market, scenario.terms
     quote = price_general_repo(market, strike)
@@ -137,13 +131,12 @@ def general_report(scenario: Scenario, seed_override: int | None = None) -> dict
             "lender_rate_bs": rate_per_annum(lender_rate_from_bs(market, quote, benchmark), dc),
         },
         identity_residual=haircut_identity_residual(quote, market),
-        oracle=_oracle_section("min", scenario, seed_override,
-                               mean=quote.revenue_mean, sd=quote.revenue_sd_abs),
+        oracle=_oracle_section("min", scenario, mean=quote.revenue_mean, sd=quote.revenue_sd_abs),
     )
 
 
-def special_lender_report(scenario: Scenario, seed_override: int | None = None) -> dict:
-    """Report document for a ``special_lender`` scenario."""
+def special_lender_report(scenario: Scenario) -> dict:
+    """Report document for a ``special_lender`` scenario; ``_report`` folds ``--seed`` in mc."""
 
     market, strike = scenario.market, scenario.terms
     quote = price_lender_fail(market, strike)
@@ -155,7 +148,7 @@ def special_lender_report(scenario: Scenario, seed_override: int | None = None) 
             special_rate=rate_per_annum(quote.special_rate, dc),
             trader_return=rate_per_period(quote.trader_return, td),
         ),
-        oracle=_oracle_section("put-payoff", scenario, seed_override, mean=quote.put_value_mean),
+        oracle=_oracle_section("put-payoff", scenario, mean=quote.put_value_mean),
     )
 
 
@@ -214,17 +207,13 @@ def reproduce_report(day_count: int, mc: bool, seed: int, n: int) -> dict:
 
     rows = build_reference_rows(day_count, mc=mc, seed=seed, n=n)
     failures = [row.name for row in rows if not row.within]
-    outputs = {
-        "rows": [dict(row._asdict(), within=row.within) for row in rows],
-        "all_within": not failures,
-        "failures": failures,
-    }
-    inputs = {"day_count": day_count, "mc": {"enabled": mc, "n": n if mc else None, "seed": seed if mc else None}}
+    if not mc:  # a run that does not simulate has no sample settings
+        n = seed = None
     return build_report(
-        command="reproduce-examples",
-        inputs=inputs,
-        outputs=outputs,
-        seed=seed if mc else None,
+        command="reproduce-examples", seed=seed,
+        inputs={"day_count": day_count, "mc": {"enabled": mc, "n": n, "seed": seed}},
+        outputs={"rows": [dict(row._asdict(), within=row.within) for row in rows],
+                 "all_within": not failures, "failures": failures},
     )
 
 
@@ -267,10 +256,13 @@ def _report(args: argparse.Namespace) -> dict:
                               f"(expected {expected})")
     if args.command == "compare-bs":
         return compare_bs_report(scenario, _parse_strikes(args.strikes))
+    if args.seed is not None and scenario.kind in SIMULATING_KINDS:  # --seed is resolved once
+        scenario = scenario._replace(mc=McSettings(
+            scenario.mc.n if scenario.mc else DEFAULT_ORACLE_N, args.seed))
     if scenario.kind == "general":
-        return general_report(scenario, seed_override=args.seed)
+        return general_report(scenario)
     if scenario.kind == "special_lender":
-        return special_lender_report(scenario, seed_override=args.seed)
+        return special_lender_report(scenario)
     if scenario.kind == "special_relations":
         return special_relations_report(scenario)
     return dealer_report(scenario, strict=not args.no_strict)

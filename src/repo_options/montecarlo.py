@@ -179,7 +179,8 @@ def mc_sample_stats(strike: float, g: GaussianParams, n: int, seed: int,
     matching the closed forms in `stochastic`.  se_mean = sd / sqrt(n);
     se_sd uses the fourth sample moment so that heavily censored
     (non-normal) payoffs get an honest standard error for the sd as well.
-    Raises PricingError when M2 * M2 underflows (se_sd is then undefined).
+    Raises PricingError when numpy cannot be imported, or when M2 * M2
+    underflows (se_sd is then undefined).
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise ValidationError(f"need n >= 2 samples for a standard deviation, got {short_repr(n)}")
@@ -188,7 +189,10 @@ def mc_sample_stats(strike: float, g: GaussianParams, n: int, seed: int,
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ValidationError(f"seed must be a non-negative integer, got {short_repr(seed)}")
 
-    import numpy as np
+    try:
+        import numpy as np
+    except ImportError as exc:  # a declared dependency, so only a broken install gets here
+        raise PricingError(f"the simulation oracle needs numpy: {exc}") from exc
 
     counts = [min(CHUNK_SIZE, n - start) for start in range(0, n, CHUNK_SIZE)]
     workers = min(_usable_cpus(), len(counts))

@@ -53,6 +53,9 @@ from .special_repo import SpecialRepoRelations, build_special_relations, max_fed
 #: ``spot_price == note_count * note_spot``.
 MARKET_CONSISTENCY_RTOL = 1e-9
 
+#: The kinds whose reports simulate: only they take an ``mc`` section or use ``--seed``.
+SIMULATING_KINDS = ("general", "special_lender")
+
 
 def _refuse_constant(token: str) -> NoReturn:
     raise ValueError(f"{token} is not a JSON number (RFC 8259)")
@@ -114,7 +117,7 @@ def report_schema() -> Mapping[str, Any]:
 
 
 class McSettings(NamedTuple):
-    """Simulation cross-check settings from a scenario's ``mc`` section."""
+    """Simulation cross-check settings: a scenario's ``mc`` section, ``--seed`` folded in."""
 
     n: int
     seed: int
@@ -271,21 +274,16 @@ def parse_scenario(data: Any) -> Scenario:
     )
 
     kind = data["kind"]
-    mc = None
-    if "mc" in data:
-        if kind not in ("general", "special_lender"):
-            raise ValidationError(
-                "scenario rejected at /mc: simulation settings only apply to "
-                "'general' and 'special_lender' scenarios"
-            )
-        mc = McSettings(n=int(data["mc"]["n"]), seed=int(data["mc"]["seed"]))
+    if "mc" in data and kind not in SIMULATING_KINDS:
+        raise ValidationError("scenario rejected at /mc: simulation settings only apply to "
+                              f"{' and '.join(map(repr, SIMULATING_KINDS))} scenarios")
 
     return Scenario(
         kind=kind,
         market=market,
         currency=currency,
         terms=_engine_input(kind, market, data["terms"]),
-        mc=mc,
+        mc=McSettings(int(data["mc"]["n"]), int(data["mc"]["seed"])) if "mc" in data else None,
         raw=data,
     )
 

@@ -142,6 +142,46 @@ def test_seed_flag_enables_oracle_and_overrides(capsys):
     assert capsys.readouterr().out == first
 
 
+_COMMAND_OF_KIND = {"general": "price-general", "special_lender": "price-special",
+                    "special_relations": "price-special", "dealer": "dealer-sim"}
+
+#: The runs that simulate: the oracle (n, seed) that ``--seed 7`` gives each.
+_SEEDED_ORACLE = {"general_3sigma": (1_000_000, 7), "special_lender_fail": (1_000_000, 7),
+                  "general_2sigma_mc": (1_000_000, 7)}
+
+
+def _seed_cases():
+    for path in sorted(SCENARIO_DIR.glob("*.json")):
+        kind = json.loads(path.read_text("utf-8"))["kind"]
+        yield pytest.param([_COMMAND_OF_KIND[kind], str(path)], _SEEDED_ORACLE.get(path.stem),
+                           id=path.stem)
+    yield pytest.param(["compare-bs", GENERAL, "--strikes", "97003.92,98005.39,99000"], None,
+                       id="compare-bs-3-strikes")
+    yield pytest.param(["reproduce-examples"], None, id="reproduce-examples")
+
+
+@pytest.mark.parametrize(("argv", "seeded_oracle"), _seed_cases())
+def test_only_a_run_that_simulates_uses_the_seed(capsys, argv, seeded_oracle):
+    """``--seed 7`` leaves every output as it was, except that of an oracle run: a file
+    without an ``mc`` section gains one of DEFAULT_ORACLE_N samples, one with it keeps its n."""
+    outcomes = []
+    for seed in ([], ["--seed", "7"]):
+        code = main([*argv, *seed, "--format", "json"])
+        captured = capsys.readouterr()
+        outcomes.append((code, captured.out, captured.err))
+    if seeded_oracle is None:
+        assert outcomes[1] == outcomes[0]
+        return
+    assert [(code, err) for code, _, err in outcomes] == [(0, "")] * 2
+    plain, seeded = (json.loads(out) for _, out, _ in outcomes)
+    oracle = seeded.pop("oracle")
+    assert (oracle["n"], oracle["seed"]) == seeded_oracle
+    assert seeded["provenance"].pop("seed") == 7
+    plain.pop("oracle", None)
+    plain["provenance"].pop("seed")
+    assert seeded == plain
+
+
 def test_price_special_lender(capsys):
     doc = _run_json(capsys, ["price-special", SPECIAL])
     quote = doc["outputs"]["quote"]
@@ -358,6 +398,26 @@ def test_non_positive_simple_interest_factor_is_refused_on_every_command(capsys,
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [["price-general", GENERAL_MC], ["reproduce-examples", "--mc"]],
+                         ids=["price-general-mc", "reproduce-examples-mc"])
+def test_an_oracle_run_without_numpy_is_exit_4(capsys, monkeypatch, argv):
+    monkeypatch.setitem(sys.modules, "numpy", None)  # `import numpy` raises ImportError
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: the simulation oracle needs numpy: [^\n]+\n", captured.err)
+
+
+@pytest.mark.parametrize("command, base", [("price-general", GENERAL_MC),
+                                           ("price-special", SPECIAL)],
+                         ids=["price-general", "price-special"])
+def test_seed_flag_keeps_the_files_sample_size(capsys, tmp_path, command, base):
+    # the bundled mc file asks for DEFAULT_ORACLE_N samples, so it cannot tell them apart
+    path = _write_scenario(tmp_path, base, lambda doc: doc.update(mc={"n": 1000, "seed": 3}))
+    oracle = _run_json(capsys, [command, path, "--seed", "7"])["oracle"]
+    assert (oracle["n"], oracle["seed"]) == (1000, 7)
 
 
 def test_oracle_fourth_moment_underflow_is_typed_error(capsys, tmp_path):

@@ -446,7 +446,7 @@ def _cli_report(argv):
 
 
 def _oracle_report(build, data, n):
-    doc = build(parse_scenario(dict(data, mc={"n": n, "seed": 3})), 7)
+    doc = build(parse_scenario(dict(data, mc={"n": n, "seed": 7})))
     assert (doc["oracle"]["n"], doc["oracle"]["seed"]) == (n, 7)
     return doc
 

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -14,7 +15,7 @@ from repo_options import (
     censored_min_sd,
     put_payoff_mean,
 )
-from repo_options.stochastic import std_normal_cdf, std_normal_pdf
+from repo_options.stochastic import _call_excess, std_normal_cdf, std_normal_pdf
 
 # Reference Gaussian used by the worked examples (rounded literal inputs).
 EXAMPLE_G = GaussianParams(mean=100008.33, sd=1001.39)
@@ -244,3 +245,46 @@ def test_gaussian_params_rejects_bad_fields():
         GaussianParams(mean=math.inf, sd=1.0)
     with pytest.raises(ValidationError):
         GaussianParams(mean=0.0, sd=math.nan)
+
+
+# --- deep-tail accuracy contract (mpmath at 60 digits) ---
+
+#: Upper ends of the bands of c = (K - mu) / sd: [-37, -20], (-20, -8], (-8, -3], (-3, 3], (3, 38].
+_BAND_TOPS = (-20.0, -8.0, -3.0, 3.0, 38.0)
+
+#: Per function: its value at c, the index of its 60-digit reference in _tail_reference,
+#: and the largest relative error it may have in each band.  Each bound is at most twice
+#: the worst error measured when the contract was set, and is only ever tightened.
+_TAIL_CONTRACT = {
+    "_call_excess": (lambda c: _call_excess(c, 1.0), 0,
+                     (4.6e-10, 3.1e-11, 8.6e-13, 6.6e-15, 4.3e-16)),
+    "censored_min_sd": (lambda c: censored_min_sd(c, GaussianParams(0.0, 1.0)), 1,
+                        (1.5e-7, 2.9e-9, 1.3e-11, 1.6e-14, 1.0e-14)),
+    "std_normal_cdf": (std_normal_cdf, 2, (3.4e-13, 8.8e-14, 1.4e-14, 1.2e-15, 1.1e-16)),
+}
+
+
+def _tail_reference(c: float):
+    """(f(c, 1) = E[(c - Z)^+], sd of min(c, Z), Phi(c)) at 60 digits."""
+    with mpmath.workdps(60):
+        x = mpmath.mpf(c)
+        cdf, pdf = mpmath.ncdf(x), mpmath.npdf(x)
+        first = x * cdf + pdf
+        second = (1 + x * x) * cdf + x * pdf
+        return first, mpmath.sqrt(second - first * first), cdf
+
+
+@pytest.mark.parametrize("name", sorted(_TAIL_CONTRACT))
+def test_deep_tail_accuracy_against_mpmath(name):
+    """Relative error on c in [-37, 38], step 0.25, within the bound of each band."""
+    function, index, bounds = _TAIL_CONTRACT[name]
+    worst = [0.0] * len(_BAND_TOPS)
+    for step in range(301):
+        c = -37.0 + 0.25 * step
+        band = next(k for k, top in enumerate(_BAND_TOPS) if c <= top)
+        reference = _tail_reference(c)[index]
+        with mpmath.workdps(60):
+            error = float(abs(mpmath.mpf(function(c)) / reference - 1))
+        worst[band] = max(worst[band], error)
+    assert all(w <= bound for w, bound in zip(worst, bounds)), (
+        f"{name}: worst relative error per band {worst}, bounds {bounds}")
