@@ -49,7 +49,11 @@ class BsInputs(CheckedRecord, _BsFields):
 def bs_prices(b: BsInputs, strikes: Iterable[float], put: bool = False) -> list[float]:
     """Call (or put) prices at each strike, at the spot, rate, vol and tenor of `b`.
 
-    Each strike is checked as BsInputs checks its own.
+    Each strike is checked as BsInputs checks its own.  At spot 1, rate 0.02, vol 0.2 and
+    tenor 1, with the call at d2 = c and the put at d2 = -c, the relative error against
+    60-digit mpmath at the same strike is within, over the bands of c of
+    ``stochastic._call_excess``: call 6.3e-11 / 1.0e-11 / 5.2e-13 / 2.7e-14 / 4.2e-16,
+    put 6.3e-11 / 1.0e-11 / 5.1e-13 / 1.9e-14 / 8.8e-16.
     """
     try:
         discount = math.exp(-b.rate * b.tenor)

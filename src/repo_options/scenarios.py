@@ -53,7 +53,8 @@ from .special_repo import SpecialRepoRelations, build_special_relations, max_fed
 #: ``spot_price == note_count * note_spot``.
 MARKET_CONSISTENCY_RTOL = 1e-9
 
-#: The kinds whose reports simulate: only they take an ``mc`` section or use ``--seed``.
+#: The kinds whose terms are one repurchase price, and whose reports simulate: only they
+#: take an ``mc`` section or use ``--seed``.
 SIMULATING_KINDS = ("general", "special_lender")
 
 
@@ -292,7 +293,7 @@ def _engine_input(kind: str, market: MarketParams,
                   terms: Mapping[str, Any]) -> float | SpecialRepoRelations | DealerScenario:
     """The input the engine prices for ``kind``, with per-annum rates made per period."""
 
-    if kind in ("general", "special_lender"):
+    if kind in SIMULATING_KINDS:
         if "repurchase_price" in terms:
             return float(terms["repurchase_price"])
         return strike_from_sigma_multiple(market, float(terms["sigma_multiple"]))

@@ -128,7 +128,10 @@ def censored_min_sd(strike: float, g: GaussianParams) -> float:
 
 
 def put_payoff_mean(strike: float, g: GaussianParams) -> float:
-    """E[(strike - X)^+], the mean payoff of a put struck at `strike`: f(K - mu, sd)."""
+    """E[(strike - X)^+], the mean payoff of a put struck at `strike`: f(K - mu, sd).
+
+    Its accuracy is ``_call_excess``'s, whose docstring states the bounds.
+    """
     if g.sd == 0.0:
         return max(strike - g.mean, 0.0)
     return _call_excess(strike - g.mean, g.sd)

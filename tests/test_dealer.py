@@ -112,43 +112,6 @@ def test_speculative_leg_reported():
     assert report.speculative == pytest.approx(-50.0, rel=1e-12)
 
 
-def test_decomposition_matches_ledger_randomized():
-    rng = np.random.default_rng(33)
-    checked = 0
-    for _ in range(500):
-        g_cut = float(rng.uniform(0.0, 0.08))
-        s_cut = float(rng.uniform(0.0, g_cut)) if g_cut > 0 else 0.0
-        spot = float(rng.uniform(10.0, 5000.0))
-        count = int(rng.integers(1, 500))
-        g_rate = float(rng.uniform(-0.002, 0.01))
-        s_rate = float(rng.uniform(-0.02, g_rate))
-        fee_cap = spot * count * (g_cut - s_cut)
-        s = _scenario(
-            note_spot=spot,
-            note_count=count,
-            intermediate_price=spot * float(rng.uniform(0.9, 1.02)),
-            special_rate=s_rate,
-            general_rate=g_rate,
-            special_haircut=s_cut,
-            general_haircut=g_cut,
-            fed_fee=float(rng.uniform(0.0, max(fee_cap, 0.0))),
-        )
-        try:
-            steps, report = run_dealer_scenario(s, strict=False)
-        except LiquidityError:
-            continue  # unfundable draws are rejected, not mis-decomposed
-        checked += 1
-        assert abs(report.decomposition_gap) <= 1e-9 * s.spot_value
-        assert report.ledger_cash == steps[-1].cash
-        assert steps[-1].notes == 0
-        # the report and the liquidity gates state one carry, to the bit
-        slack = {c.name: c.slack for c in check_liquidity(s, strict=False)}
-        assert report.interest_and_fees == slack["closing_strict"]
-        assert report.total == slack["closing_weak"]
-        assert report.speculative == slack["note_repurchase"]
-    assert checked >= 300
-
-
 def test_step_seven_fails_exactly_when_the_enforced_closing_condition_does_randomized():
     """In both modes the ledger stops at step 7 exactly when steps 1-6 are funded and the
     closing condition check_liquidity marks enforced is unsatisfied, with its slack."""

@@ -167,23 +167,6 @@ def _feasible_multiple(rng, m: MarketParams, low: float) -> float:
     return float(rng.uniform(low, max(low + 1e-6, cap)))
 
 
-def test_identity_residual_randomized_thousand():
-    rng = np.random.default_rng(18)
-    checked = 0
-    for _ in range(1000):
-        m = _random_market(rng)
-        strike = strike_from_sigma_multiple(m, _feasible_multiple(rng, m, 0.5))
-        try:
-            quote = price_general_repo(m, strike)
-        except PricingError:
-            # strong carry + high strike can push the haircut non-positive;
-            # that rejection is correct behavior, not an identity case
-            continue
-        checked += 1
-        assert abs(haircut_identity_residual(quote, m)) <= 1e-9
-    assert checked >= 900
-
-
 def test_repo_rate_never_below_lender_rate_randomized():
     # the borrower's rate discounts the full strike, the lender's only the
     # censored mean, and E[min(K, X)] <= K

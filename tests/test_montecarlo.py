@@ -10,10 +10,7 @@ from repo_options import (
     GaussianParams,
     McEstimate,
     ValidationError,
-    censored_min_mean,
-    censored_min_sd,
     mc_sample_stats,
-    put_payoff_mean,
 )
 from repo_options import montecarlo
 from repo_options.montecarlo import BLOCK, CHUNK_SIZE, MODES, _merge_moments
@@ -230,17 +227,6 @@ def test_chunk_boundary_sizes_change_results_continuously():
     b = mc_sample_stats(95.0, G, CHUNK_SIZE + 1, 5, "min")
     assert b.n_samples == CHUNK_SIZE + 1
     assert abs(a.mean - b.mean) < 10.0 * a.se_mean
-
-
-def test_estimates_match_closed_forms_within_four_se():
-    n = 1_000_000
-    strike = G.mean - 2.0 * G.sd
-    est_min = mc_sample_stats(strike, G, n, 2024, "min")
-    assert abs(est_min.mean - censored_min_mean(strike, G)) <= 4.0 * est_min.se_mean
-    assert abs(est_min.sd - censored_min_sd(strike, G)) <= 4.0 * est_min.se_sd
-
-    est_put = mc_sample_stats(strike, G, n, 2026, "put-payoff")
-    assert abs(est_put.mean - put_payoff_mean(strike, G)) <= 4.0 * est_put.se_mean
 
 
 def test_zero_sd_payoff_gives_zero_errors():

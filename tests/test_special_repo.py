@@ -82,38 +82,6 @@ def _random_consistent(rng) -> tuple[float, SpecialRepoRelations]:
     return spot, build_special_relations(g_cut, g_rate, special_rate=s_rate)
 
 
-def test_three_fee_forms_agree_randomized():
-    rng = np.random.default_rng(26)
-    for _ in range(1000):
-        _, rel = _random_consistent(rng)
-        form_a = (
-            (rel.general_rate - rel.special_rate)
-            * (1.0 - rel.general_haircut)
-            / (1.0 + rel.special_rate)
-        )
-        form_b = (
-            (rel.general_rate - rel.special_rate)
-            * (1.0 - rel.special_haircut)
-            / (1.0 + rel.general_rate)
-        )
-        form_c = rel.general_haircut - rel.special_haircut
-        assert abs(form_a - form_b) <= 1e-12
-        assert abs(form_a - form_c) <= 1e-12
-        assert rel.fee_rate == pytest.approx(form_a, abs=1e-15)
-
-
-def test_haircut_rate_round_trips_randomized():
-    rng = np.random.default_rng(27)
-    for _ in range(1000):
-        g_cut = float(rng.uniform(0.0, 0.1))
-        g_rate = float(rng.uniform(-0.005, 0.02))
-        s_rate = float(rng.uniform(-0.05, 0.02))
-        s_cut = haircut_from_rates(g_cut, g_rate, s_rate)
-        assert rate_from_haircuts(g_cut, s_cut, g_rate) == pytest.approx(s_rate, abs=1e-12)
-        s_cut2 = haircut_from_rates(g_cut, g_rate, rate_from_haircuts(g_cut, s_cut, g_rate))
-        assert s_cut2 == pytest.approx(s_cut, abs=1e-12)
-
-
 def test_balance_residual_zero_for_built_relations():
     rng = np.random.default_rng(28)
     for _ in range(200):
@@ -130,30 +98,7 @@ def test_max_fee_equals_fee_rate_times_spot_under_consistency():
         assert max_fee == pytest.approx(rel.fee_rate * spot, rel=1e-9, abs=1e-9)
 
 
-# --- regime limits (exact algebra at the boundary) ---
-
-
-def test_regime_limit_guaranteed_delivery():
-    # special_haircut = 0 forces special_rate = general_rate - g_cut (1 + general_rate)
-    for g_cut, g_rate in [(0.0, 0.01), (0.02, 0.0025), (0.05, -0.001), (0.1, 0.02)]:
-        s_rate = rate_from_haircuts(g_cut, 0.0, g_rate)
-        assert abs(s_rate - (g_rate - g_cut * (1.0 + g_rate))) <= 1e-12
-
-
-def test_regime_limit_stressed():
-    # special_rate = 0 forces fee_rate = general_rate (1 - g_cut) and s_cut = g_cut - fee
-    for g_cut, g_rate in [(0.0, 0.01), (0.02, 0.0025), (0.05, 0.015)]:
-        fee = fed_fee_rate(g_rate, 0.0, g_cut)
-        assert abs(fee - g_rate * (1.0 - g_cut)) <= 1e-12
-        s_cut = haircut_from_rates(g_cut, g_rate, 0.0)
-        assert abs((g_cut - s_cut) - fee) <= 1e-12
-
-
-def test_regime_limit_no_demand():
-    # fee = 0 forces special_rate = general_rate and equal haircuts
-    for g_cut, g_rate in [(0.0, 0.01), (0.02, 0.0025), (0.05, 0.015)]:
-        assert abs(fed_fee_rate(g_rate, g_rate, g_cut)) <= 1e-12
-        assert abs(haircut_from_rates(g_cut, g_rate, g_rate) - g_cut) <= 1e-12
+# --- regime classification ---
 
 
 def test_classify_regimes():

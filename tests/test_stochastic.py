@@ -9,8 +9,10 @@ from scipy import integrate
 from scipy import stats
 
 from repo_options import (
+    BsInputs,
     GaussianParams,
     ValidationError,
+    bs_prices,
     censored_min_mean,
     censored_min_sd,
     put_payoff_mean,
@@ -252,16 +254,27 @@ def test_gaussian_params_rejects_bad_fields():
 #: Upper ends of the bands of c = (K - mu) / sd: [-37, -20], (-20, -8], (-8, -3], (-3, 3], (3, 38].
 _BAND_TOPS = (-20.0, -8.0, -3.0, 3.0, 38.0)
 
-#: Per function: its value at c, the index of its 60-digit reference in _tail_reference,
-#: and the largest relative error it may have in each band.  Each bound is at most twice
-#: the worst error measured when the contract was set, and is only ever tightened.
-_TAIL_CONTRACT = {
-    "_call_excess": (lambda c: _call_excess(c, 1.0), 0,
-                     (4.6e-10, 3.1e-11, 8.6e-13, 6.6e-15, 4.3e-16)),
-    "censored_min_sd": (lambda c: censored_min_sd(c, GaussianParams(0.0, 1.0)), 1,
-                        (1.5e-7, 2.9e-9, 1.3e-11, 1.6e-14, 1.0e-14)),
-    "std_normal_cdf": (std_normal_cdf, 2, (3.4e-13, 8.8e-14, 1.4e-14, 1.2e-15, 1.1e-16)),
-}
+#: Black-Scholes inputs of the tail contract; the strike at each c is `_bs_strike`'s.
+_BS = BsInputs(spot=1.0, strike=1.0, rate=0.02, vol=0.2, tenor=1.0)
+
+
+def _bs_strike(d2: float) -> float:
+    """The strike at which ``_BS`` has this d2."""
+    return math.exp((_BS.rate - 0.5 * _BS.vol * _BS.vol) * _BS.tenor
+                    - d2 * _BS.vol * math.sqrt(_BS.tenor))
+
+
+def _bs_reference(strike: float, put: bool):
+    """The Black-Scholes call (or put) of ``_BS`` at this float strike, at 60 digits."""
+    with mpmath.workdps(60):
+        spot, k, rate, vol, tenor = map(mpmath.mpf, (_BS.spot, strike, _BS.rate, _BS.vol,
+                                                     _BS.tenor))
+        d1 = (mpmath.log(spot / k) + (rate + vol * vol / 2) * tenor) / (vol * mpmath.sqrt(tenor))
+        d2 = d1 - vol * mpmath.sqrt(tenor)
+        discounted = k * mpmath.exp(-rate * tenor)
+        if put:
+            return discounted * mpmath.ncdf(-d2) - spot * mpmath.ncdf(-d1)
+        return spot * mpmath.ncdf(d1) - discounted * mpmath.ncdf(d2)
 
 
 def _tail_reference(c: float):
@@ -274,17 +287,37 @@ def _tail_reference(c: float):
         return first, mpmath.sqrt(second - first * first), cdf
 
 
+#: Per function: its value at c, its 60-digit reference at c, and the largest relative
+#: error it may have in each band.  Each bound is at most twice the worst error measured
+#: when the contract was set, and is only ever tightened.  The call is priced at d2 = c and
+#: the put at d2 = -c, so that c -> -inf is deep out of the money for both.
+_TAIL_CONTRACT = {
+    "_call_excess": (lambda c: _call_excess(c, 1.0), lambda c: _tail_reference(c)[0],
+                     (4.6e-10, 3.1e-11, 8.6e-13, 6.6e-15, 4.3e-16)),
+    "censored_min_sd": (lambda c: censored_min_sd(c, GaussianParams(0.0, 1.0)),
+                        lambda c: _tail_reference(c)[1],
+                        (1.5e-7, 2.9e-9, 1.3e-11, 1.6e-14, 1.0e-14)),
+    "std_normal_cdf": (std_normal_cdf, lambda c: _tail_reference(c)[2],
+                       (3.4e-13, 8.8e-14, 1.4e-14, 1.2e-15, 1.1e-16)),
+    "bs_prices call": (lambda c: bs_prices(_BS, (_bs_strike(c),))[0],
+                       lambda c: _bs_reference(_bs_strike(c), put=False),
+                       (6.3e-11, 1.0e-11, 5.2e-13, 2.7e-14, 4.2e-16)),
+    "bs_prices put": (lambda c: bs_prices(_BS, (_bs_strike(-c),), put=True)[0],
+                      lambda c: _bs_reference(_bs_strike(-c), put=True),
+                      (6.3e-11, 1.0e-11, 5.1e-13, 1.9e-14, 8.8e-16)),
+}
+
+
 @pytest.mark.parametrize("name", sorted(_TAIL_CONTRACT))
 def test_deep_tail_accuracy_against_mpmath(name):
     """Relative error on c in [-37, 38], step 0.25, within the bound of each band."""
-    function, index, bounds = _TAIL_CONTRACT[name]
+    function, reference, bounds = _TAIL_CONTRACT[name]
     worst = [0.0] * len(_BAND_TOPS)
     for step in range(301):
         c = -37.0 + 0.25 * step
         band = next(k for k, top in enumerate(_BAND_TOPS) if c <= top)
-        reference = _tail_reference(c)[index]
         with mpmath.workdps(60):
-            error = float(abs(mpmath.mpf(function(c)) / reference - 1))
+            error = float(abs(mpmath.mpf(function(c)) / reference(c) - 1))
         worst[band] = max(worst[band], error)
     assert all(w <= bound for w, bound in zip(worst, bounds)), (
         f"{name}: worst relative error per band {worst}, bounds {bounds}")
