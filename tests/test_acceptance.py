@@ -5,7 +5,7 @@ its tolerance is stated once, in ``reference.py``.  Criteria 10-14 hold the rand
 properties, each stated once; the module test files keep frozen values, edge cases and unit
 checks.
 Each test covers one numbered criterion, in its name or id, and prints one pass/fail line
-(visible with ``pytest -s``).
+(visible with ``pytest -s``); criteria 11, 12 and 13 have one test per property.
 """
 
 import numpy as np
@@ -112,9 +112,9 @@ def test_criterion_10_haircut_identity_randomized():
     ])
 
 
-def test_criterion_11_fee_forms_and_round_trips():
+def test_criterion_11_fee_forms_agree():
     rng = np.random.default_rng(1111)
-    worst_form = worst_fee = worst_round = 0.0
+    worst_form = worst_fee = 0.0
     for _ in range(1000):
         g_cut = float(rng.uniform(0.0, 0.1))
         g_rate = float(rng.uniform(-0.005, 0.02))
@@ -125,55 +125,76 @@ def test_criterion_11_fee_forms_and_round_trips():
                  g_cut - rel.special_haircut)
         worst_form = max(worst_form, max(forms) - min(forms))
         worst_fee = max(worst_fee, abs(rel.fee_rate - forms[0]))
+    _criterion(11, "fee three-form agreement, 1000 tuples", [
+        ("worst_form_spread", worst_form, 0.0, 1e-12),
+        ("worst_fee_rate_vs_first_form", worst_fee, 0.0, 1e-15),
+    ])
 
+
+def test_criterion_11_haircut_rate_round_trips():
+    rng = np.random.default_rng(1111)
+    worst_round = 0.0
+    for _ in range(1000):
+        g_cut = float(rng.uniform(0.0, 0.1))
+        g_rate = float(rng.uniform(-0.005, 0.02))
         # both ways round, the special rate on either side of the general rate
         s_rate = float(rng.uniform(-0.05, 0.02))
         s_cut = haircut_from_rates(g_cut, g_rate, s_rate)
         rate_back = rate_from_haircuts(g_cut, s_cut, g_rate)
         worst_round = max(worst_round, abs(rate_back - s_rate),
                           abs(haircut_from_rates(g_cut, g_rate, rate_back) - s_cut))
-    _criterion(11, "fee three-form agreement and round-trips, 1000 tuples", [
-        ("worst_form_spread", worst_form, 0.0, 1e-12),
-        ("worst_fee_rate_vs_first_form", worst_fee, 0.0, 1e-15),
+    _criterion(11, "haircut/rate round-trips, 1000 tuples", [
         ("worst_round_trip", worst_round, 0.0, 1e-12),
     ])
 
 
-def test_criterion_12_regime_limits():
+def _criterion_12_markets():
+    """200 (haircut, general rate) pairs, one per market the three regimes share."""
     rng = np.random.default_rng(1212)
-    worst_gd = worst_stressed = worst_no_demand = 0.0
     for _ in range(200):
         rng.uniform(1e3, 1e6)  # a spot the relations do not use, drawn to keep the stream
-        g_cut = float(rng.uniform(0.0, 0.2))
-        g_rate = float(rng.uniform(-0.005, 0.05))
-        # zero special haircut: special rate sinks by the haircut's carry
+        yield float(rng.uniform(0.0, 0.2)), float(rng.uniform(-0.005, 0.05))
+
+
+def test_criterion_12_zero_special_haircut():
+    worst = 0.0
+    for g_cut, g_rate in _criterion_12_markets():
+        # the special rate sinks by the haircut's carry
         rel = build_special_relations(g_cut, g_rate, special_haircut=0.0)
-        worst_gd = max(worst_gd, abs(rel.special_rate - (g_rate - g_cut * (1.0 + g_rate))))
-        # zero special rate: the fee is the general rate on the lent fraction, and is the
-        # haircut gap
-        rel = build_special_relations(g_cut, g_rate, special_rate=0.0)
-        worst_stressed = max(worst_stressed, abs(rel.fee_rate - g_rate * (1.0 - g_cut)),
-                             abs(g_cut - rel.special_haircut - rel.fee_rate))
-        # zero fee: special and general rates coincide, and so do the haircuts
-        rel = build_special_relations(g_cut, g_rate, special_haircut=g_cut)
-        worst_no_demand = max(
-            worst_no_demand, abs(rel.special_rate - g_rate), abs(rel.fee_rate)
-        )
-        rel = build_special_relations(g_cut, g_rate, special_rate=g_rate)
-        worst_no_demand = max(
-            worst_no_demand, abs(rel.special_haircut - g_cut), abs(rel.fee_rate)
-        )
-    _criterion(12, "limiting regimes of the rate/haircut algebra", [
-        ("zero_special_haircut", worst_gd, 0.0, 1e-12),
-        ("zero_special_rate", worst_stressed, 0.0, 1e-12),
-        ("zero_fee", worst_no_demand, 0.0, 1e-12),
+        worst = max(worst, abs(rel.special_rate - (g_rate - g_cut * (1.0 + g_rate))))
+    _criterion(12, "limiting regime: zero special haircut", [
+        ("zero_special_haircut", worst, 0.0, 1e-12),
     ])
 
 
-def test_criterion_13_dealer_ledger_decomposition():
-    rng = np.random.default_rng(1313)
+def test_criterion_12_zero_special_rate():
+    worst = 0.0
+    for g_cut, g_rate in _criterion_12_markets():
+        # the fee is the general rate on the lent fraction, and is the haircut gap
+        rel = build_special_relations(g_cut, g_rate, special_rate=0.0)
+        worst = max(worst, abs(rel.fee_rate - g_rate * (1.0 - g_cut)),
+                    abs(g_cut - rel.special_haircut - rel.fee_rate))
+    _criterion(12, "limiting regime: zero special rate", [
+        ("zero_special_rate", worst, 0.0, 1e-12),
+    ])
 
-    # (a) at the maximum fee both enforced conditions bind exactly
+
+def test_criterion_12_zero_fee():
+    worst = 0.0
+    for g_cut, g_rate in _criterion_12_markets():
+        # special and general rates coincide, and so do the haircuts, from either side
+        rel = build_special_relations(g_cut, g_rate, special_haircut=g_cut)
+        worst = max(worst, abs(rel.special_rate - g_rate), abs(rel.fee_rate))
+        rel = build_special_relations(g_cut, g_rate, special_rate=g_rate)
+        worst = max(worst, abs(rel.special_haircut - g_cut), abs(rel.fee_rate))
+    _criterion(12, "limiting regime: zero fee", [
+        ("zero_fee", worst, 0.0, 1e-12),
+    ])
+
+
+def test_criterion_13a_max_fee_binds():
+    """At the maximum fee both enforced conditions bind exactly."""
+    rng = np.random.default_rng(1313)
     worst_slack = 0.0
     for _ in range(300):
         spot = float(rng.uniform(10.0, 5000.0))
@@ -194,9 +215,15 @@ def test_criterion_13_dealer_ledger_decomposition():
         tol_unit = abs(named["fee_funding"].slack) / s.spot_value
         worst_slack = max(worst_slack, tol_unit,
                           abs(named["closing_strict"].slack) / s.spot_value)
+    _criterion(13, "dealer ledger: the maximum fee binds", [
+        ("worst_slack_over_spot", worst_slack, 0.0, 1e-9),
+    ])
 
-    # (b) replaying the nine steps reproduces the closed-form cash total, and the report
-    # restates the final step and check_liquidity's slacks bit for bit
+
+def test_criterion_13b_ledger_decomposition():
+    """Replaying the nine steps reproduces the closed-form cash total, and the report
+    restates the final step and check_liquidity's slacks bit for bit."""
+    rng = np.random.default_rng(1313)
     worst_gap = 0.0
     runs = restated_mismatches = 0
     for _ in range(500):
@@ -225,8 +252,7 @@ def test_criterion_13_dealer_ledger_decomposition():
             != (0, steps[-1].cash, slack["closing_strict"], slack["closing_weak"],
                 slack["note_repurchase"]))
     assert runs >= 300, f"only {runs} random ledgers completed"
-    _criterion(13, "dealer ledger: binding max fee and cash decomposition", [
-        ("worst_slack_over_spot", worst_slack, 0.0, 1e-9),
+    _criterion(13, "dealer ledger: cash decomposition", [
         ("worst_decomposition_gap_over_spot", worst_gap, 0.0, 1e-9),
         ("restated_mismatches", float(restated_mismatches), 0.0, 0.0),
     ])

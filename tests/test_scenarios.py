@@ -214,8 +214,10 @@ def test_schema_version_and_kind_enforced():
         parse_scenario(doc)
 
 
-def test_mc_section_parsed_for_pricing_kinds():
+@pytest.mark.parametrize("kind", scenarios.SIMULATING_KINDS)
+def test_mc_section_parsed_for_pricing_kinds(kind):
     doc = _general_doc()
+    doc["kind"] = kind
     doc["mc"] = {"n": 1000, "seed": 7}
     scenario = parse_scenario(doc)
     assert scenario.mc is not None
@@ -265,12 +267,16 @@ def test_load_scenario_missing_file_is_parse_error(tmp_path):
         load_scenario(tmp_path / "nope.json")
 
 
-def test_strike_terms_load_as_the_repurchase_price_in_both_forms():
+@pytest.mark.parametrize("kind", scenarios.SIMULATING_KINDS)
+def test_strike_terms_load_as_the_repurchase_price_in_both_forms(kind):
     direct = _general_doc()
+    direct["kind"] = kind
     direct["terms"] = {"repurchase_price": 97003.92}
     assert parse_scenario(direct).terms == 97003.92
 
-    implied = parse_scenario(_general_doc())
+    implied = _general_doc()
+    implied["kind"] = kind
+    implied = parse_scenario(implied)
     expected = strike_from_sigma_multiple(implied.market, 3.0)
     assert implied.terms == expected
 
